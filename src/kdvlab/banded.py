@@ -361,8 +361,31 @@ def dense_reference_solve(M: np.ndarray, b) -> np.ndarray:
         raise SingularMatrixError(f"dense reference solve failed: {exc}") from exc
 
 
-def _rayleigh(P: Pentadiagonal, v: np.ndarray) -> float:
-    return float(v @ matvec(P, v))
+def _power_loop(op, b: np.ndarray, tol: float, max_iters: int):
+    """Power iteration of ``op`` from the unit vector ``b``, one product per iterate.
+
+    Each ``y = op(b)`` serves the iterate's Rayleigh quotient ``b . y``,
+    the next iterate ``y / ||y||`` and, for the last ``b``, the residual.
+    Returns ``(rho, iterations, stabilized, b, y)``.
+    """
+    if tol <= 0:
+        raise ValueError(f"tol must be positive, got {tol}")
+    if max_iters < 1:
+        raise ValueError(f"max_iters must be >= 1, got {max_iters}")
+    y = op(b)
+    rho = float(b @ y)
+    for iterations in range(1, max_iters + 1):
+        ynorm = np.linalg.norm(y)
+        if ynorm == 0.0:
+            # b is in the null space; the quotient is exactly 0 and stays there.
+            return 0.0, iterations, True, b, y
+        b = y / ynorm
+        y = op(b)
+        rho_next = float(b @ y)
+        if abs(rho_next - rho) < tol:
+            return rho_next, iterations, True, b, y
+        rho = rho_next
+    return rho, max_iters, False, b, y
 
 
 def power_iteration(P: Pentadiagonal, b0, tol: float = 1e-10, max_iters: int = 10_000) -> PowerIterationReport:
@@ -374,10 +397,6 @@ def power_iteration(P: Pentadiagonal, b0, tol: float = 1e-10, max_iters: int = 1
     requires the eigen-residual to be below sqrt(tol) relative to the
     estimate; see :class:`PowerIterationReport`.
     """
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    if max_iters < 1:
-        raise ValueError(f"max_iters must be >= 1, got {max_iters}")
     b = np.asarray(b0, dtype=float).copy()
     if b.shape != (P.n,):
         raise ValueError(f"b0 must have shape ({P.n},), got {b.shape}")
@@ -386,28 +405,8 @@ def power_iteration(P: Pentadiagonal, b0, tol: float = 1e-10, max_iters: int = 1
         raise ValueError("b0 must be nonzero")
     b /= norm
 
-    rho = _rayleigh(P, b)
-    iterations = 0
-    stabilized = False
-    for _ in range(max_iters):
-        y = matvec(P, b)
-        ynorm = np.linalg.norm(y)
-        if ynorm == 0.0:
-            # b is in the null space; the quotient is exactly 0 and stays there.
-            iterations += 1
-            rho = 0.0
-            stabilized = True
-            break
-        b = y / ynorm
-        rho_next = _rayleigh(P, b)
-        iterations += 1
-        if abs(rho_next - rho) < tol:
-            rho = rho_next
-            stabilized = True
-            break
-        rho = rho_next
-
-    residual = float(np.linalg.norm(matvec(P, b) - rho * b) / np.linalg.norm(b))
+    rho, iterations, stabilized, b, y = _power_loop(lambda v: matvec(P, v), b, tol, max_iters)
+    residual = float(np.linalg.norm(y - rho * b) / np.linalg.norm(b))
     converged = bool(stabilized and residual <= np.sqrt(tol) * (1.0 + abs(rho)))
     return PowerIterationReport(
         estimate=rho, iterations=iterations, converged=converged, residual=residual
@@ -422,38 +421,14 @@ def gram_power_iteration(P: Pentadiagonal, tol: float = 1e-10, max_iters: int = 
     a complex dominant pair.  ``estimate`` reports sigma_max itself; the
     residual is measured on the Gram operator.
     """
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    if max_iters < 1:
-        raise ValueError(f"max_iters must be >= 1, got {max_iters}")
     rng = np.random.default_rng(1729)  # fixed start vector: deterministic probe
     b = rng.standard_normal(P.n)
     b /= np.linalg.norm(b)
 
-    def gram(v):
-        return matvec_transpose(P, matvec(P, v))
-
-    rho = float(b @ gram(b))
-    iterations = 0
-    stabilized = False
-    for _ in range(max_iters):
-        y = gram(b)
-        ynorm = np.linalg.norm(y)
-        if ynorm == 0.0:
-            iterations += 1
-            rho = 0.0
-            stabilized = True
-            break
-        b = y / ynorm
-        rho_next = float(b @ gram(b))
-        iterations += 1
-        if abs(rho_next - rho) < tol:
-            rho = rho_next
-            stabilized = True
-            break
-        rho = rho_next
-
-    residual = float(np.linalg.norm(gram(b) - rho * b))
+    rho, iterations, stabilized, b, y = _power_loop(
+        lambda v: matvec_transpose(P, matvec(P, v)), b, tol, max_iters
+    )
+    residual = float(np.linalg.norm(y - rho * b))
     converged = bool(stabilized and residual <= np.sqrt(tol) * (1.0 + abs(rho)))
     sigma = float(np.sqrt(max(rho, 0.0)))
     return PowerIterationReport(

@@ -9,6 +9,7 @@ still written).
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from pathlib import Path
@@ -114,8 +115,12 @@ def eigen_report_text(
     return "\n".join(lines) + "\n"
 
 
-def cmd_eigen(cfg: RunConfig, out=sys.stdout) -> int:
-    """Probe the lagged-coefficient matrix A assembled from the initial state."""
+def cmd_eigen(cfg: RunConfig, out=None) -> int:
+    """Probe the lagged-coefficient matrix A assembled from the initial state.
+
+    ``out`` defaults to ``sys.stdout`` as it is bound when called.
+    """
+    out = sys.stdout if out is None else out
     ic = cfg.initial_field()
     A, _ = assemble_lagged(ic, cfg.cn_config())
     header = (
@@ -256,7 +261,9 @@ def _gather_text(args, keys: Sequence[str]) -> str:
     return "\n".join(chunks)
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process (each build leaves cyclic garbage)."""
     parser = argparse.ArgumentParser(
         prog="kdvlab",
         description="Finite-difference laboratory for the KdV equation",
@@ -266,9 +273,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     _add_subcommand(sub, "scan", "amplification-factor stability scan", _SCAN_KEYS)
     _add_subcommand(sub, "eigen", "spectral probes of the implicit matrix", _EIGEN_KEYS)
     _add_subcommand(sub, "converge", "grid-refinement convergence study", _CONVERGE_KEYS)
+    return parser
 
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage problems; fold into the documented code 1
         return EXIT_USAGE if exc.code else EXIT_OK

@@ -9,6 +9,7 @@ import pytest
 from kdvlab import banded
 from kdvlab.banded import (
     Pentadiagonal,
+    PowerIterationReport,
     dense_reference_solve,
     gram_power_iteration,
     invertibility_certificate,
@@ -382,6 +383,39 @@ def test_power_iteration_matches_gram_on_spd():
         r_plain = power_iteration(S, np.ones(n), tol=1e-14, max_iters=200_000)
         r_gram = gram_power_iteration(S, tol=1e-14, max_iters=200_000)
         assert r_plain.estimate == pytest.approx(r_gram.estimate, rel=1e-6)
+
+
+def _count_products(monkeypatch):
+    """Wrap banded.matvec and banded.matvec_transpose with call counters."""
+    counts = {"matvec": 0, "matvec_transpose": 0}
+    for name in counts:
+        def counted(P, x, name=name, original=getattr(banded, name)):
+            counts[name] += 1
+            return original(P, x)
+        monkeypatch.setattr(banded, name, counted)
+    return counts
+
+
+def test_power_probes_compute_one_product_per_iterate(monkeypatch):
+    # Neither quotient settles within k sweeps: the Gram quotient on I + K,
+    # and the plain quotient once a graded diagonal breaks b.(I + K)b = 1.
+    k = 25
+    P = skew_penta(500.0, 250.0, 50)
+    graded = Pentadiagonal(P.sub2, P.sub1, np.linspace(1.0, 2.0, 50), P.sup1, P.sup2)
+    counts = _count_products(monkeypatch)
+    assert power_iteration(graded, np.ones(50), max_iters=k).iterations == k
+    assert counts == {"matvec": k + 1, "matvec_transpose": 0}
+    counts["matvec"] = 0
+    assert gram_power_iteration(P, max_iters=k).iterations == k
+    assert counts == {"matvec": k + 1, "matvec_transpose": k + 1}
+
+
+def test_power_probes_stop_in_the_null_space():
+    n = 8
+    Z = Pentadiagonal(np.zeros(n - 2), np.zeros(n - 1), np.zeros(n), np.zeros(n - 1), np.zeros(n - 2))
+    expected = PowerIterationReport(estimate=0.0, iterations=1, converged=True, residual=0.0)
+    assert power_iteration(Z, np.ones(n)) == expected
+    assert gram_power_iteration(Z) == expected
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Tests for config parsing, the CLI subcommands, and file formats."""
 
+import contextlib
 import io
 import math
 
@@ -14,6 +15,7 @@ from kdvlab.config import (
     parse_eigen_config,
     parse_scan_config,
 )
+from kdvlab.crank_nicolson import assemble_lagged
 from kdvlab.errors import ConfigError
 from kdvlab.model import Grid1D, WaveField
 from kdvlab.runio import read_field_csv, snapshot_filename, time_label, write_field_csv
@@ -244,6 +246,44 @@ def test_eigen_command_frozen_midpoint(tmp_path):
     report = buf.getvalue()
     assert "method = identity-plus-skew" in report
     assert "certified = true" in report
+
+
+def test_eigen_command_writes_to_redirected_stdout():
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert main(["eigen", "--nx=54", "--power_max_iters=50"]) == 0
+    assert buf.getvalue().startswith("kdvlab eigen probe\n")
+    assert "gram_power_iteration: sigma_max = " in buf.getvalue()
+
+
+# Reports of the nx 54 lagged matrices, pinned byte for byte.
+EIGEN_GOLDEN = {
+    "frozen-midpoint": (
+        "n = 50\n"
+        "power_iteration: estimate = 1.0000000000000007 iterations = 1 converged = false"
+        " residual = 0.0020131473962673877\n"
+        "gram_power_iteration: sigma_max = 1.0003024770720461 iterations = 500"
+        " converged = false residual = 0.00040087578656946524\n"
+        "certificate: method = identity-plus-skew certified = true\n"
+        "certificate_detail: P = I + K with K^T = -K: eigenvalues 1 + i*mu, sigma_min >= 1\n"
+    ),
+    "row-varying": (
+        "n = 50\n"
+        "power_iteration: estimate = 1.0000000000000515 iterations = 1 converged = false"
+        " residual = 0.0016451221069903686\n"
+        "gram_power_iteration: sigma_max = 1.0002679784970954 iterations = 500"
+        " converged = false residual = 0.00054567822217101646\n"
+        "certificate: method = LU-factorization certified = true\n"
+        "certificate_detail: banded LU with partial pivoting completed with nonzero pivots\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("gamma_mode", sorted(EIGEN_GOLDEN))
+def test_eigen_report_golden(gamma_mode):
+    cfg = parse_eigen_config(f"nx = 54\npower_max_iters = 500\ngamma_mode = {gamma_mode}")
+    A, _ = assemble_lagged(cfg.initial_field(), cfg.cn_config())
+    assert eigen_report_text(A, cfg.power_tol, cfg.power_max_iters) == EIGEN_GOLDEN[gamma_mode]
 
 
 def test_eigen_report_identity_sigma():
