@@ -1,7 +1,8 @@
 """Command-line interface: run, scan, eigen, converge.
 
 Each subcommand reads an optional ``--config`` file of ``key = value``
-lines and accepts ``--<key> <value>`` overrides for the same keys.
+lines and accepts ``--<key> <value>`` overrides for the same keys, taken
+verbatim and applied after the file's lines.
 Exit codes: 0 completed, 1 usage or I/O error, 2 blow-up (outputs are
 still written).
 """
@@ -9,11 +10,12 @@ still written).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import math
 import sys
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -25,7 +27,9 @@ from .banded import (
     power_iteration,
 )
 from .config import (
+    KEYS,
     ConvergeConfig,
+    EigenConfig,
     RunConfig,
     ScanConfig,
     parse_config,
@@ -38,7 +42,7 @@ from .errors import ConfigError, KdvLabError
 from .evolution import RunResult
 from .explicit import run_explicit
 from .model import Grid1D, SchemeParams
-from .runio import write_run_outputs
+from .runio import _fmt, write_run_outputs
 
 __all__ = [
     "cmd_run",
@@ -52,10 +56,6 @@ __all__ = [
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_BLOW_UP = 2
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 def execute_run(cfg: RunConfig) -> RunResult:
@@ -115,7 +115,7 @@ def eigen_report_text(
     return "\n".join(lines) + "\n"
 
 
-def cmd_eigen(cfg: RunConfig, out=None) -> int:
+def cmd_eigen(cfg: EigenConfig, out=None) -> int:
     """Probe the lagged-coefficient matrix A assembled from the initial state.
 
     ``out`` defaults to ``sys.stdout`` as it is bound when called.
@@ -161,16 +161,9 @@ def converge_study(cfg: ConvergeConfig):
     hs = []
     for level in range(cfg.levels):
         grid, dt, h = _level_setup(cfg, level)
-        level_cfg = RunConfig(**{
-            **{f: getattr(cfg, f) for f in (
-                "scheme", "gamma_mode", "x_min", "x_max", "ic_kind", "ic_value",
-                "paper_normalization", "output_dir",
-            )},
-            "nx": grid.nx,
-            "dt": dt,
-            "t_end": cfg.t_end,
-            "snapshot_times": (cfg.t_end,),
-        })
+        level_cfg = dataclasses.replace(
+            cfg, nx=grid.nx, dt=dt, snapshot_times=(cfg.t_end,)
+        )
         level_cfg.validate()
         result = execute_run(level_cfg)
         if not result.completed:
@@ -221,8 +214,6 @@ def cmd_converge(cfg: ConvergeConfig) -> int:
     )
     meta = ["# kdvlab converge metadata"]
     meta.extend(cfg.echo_lines())
-    meta.append(f"levels = {cfg.levels}")
-    meta.append(f"refine = {cfg.refine}")
     meta.append(order_line)
     (cfg.output_dir / "converge.meta").write_text(
         "\n".join(meta) + "\n", encoding="utf-8"
@@ -230,35 +221,13 @@ def cmd_converge(cfg: ConvergeConfig) -> int:
     return EXIT_OK
 
 
-_RUN_KEYS = (
-    "scheme", "gamma_mode", "x_min", "x_max", "nx", "dt", "t_end", "ic",
-    "snapshot_times", "paper_normalization", "output_dir",
-)
-_EIGEN_KEYS = _RUN_KEYS + ("power_tol", "power_max_iters")
-_SCAN_KEYS = ("scheme", "alpha_list", "beta_list", "u0_list", "n_theta", "output_dir")
-_CONVERGE_KEYS = (
-    "scheme", "gamma_mode", "x_min", "x_max", "nx", "dt", "t_end", "ic",
-    "paper_normalization", "output_dir", "levels", "refine",
-)
-
-
-def _add_subcommand(sub, name: str, help_text: str, keys: Sequence[str]):
+def _add_subcommand(sub, name: str, help_text: str):
     p = sub.add_parser(name, help=help_text)
     p.add_argument("--config", type=Path, default=None, help="key=value config file")
-    for key in keys:
-        p.add_argument(f"--{key}", dest=f"key_{key}", default=None, metavar="VALUE")
+    for key, (_, commands) in KEYS.items():
+        if name in commands:
+            p.add_argument(f"--{key}", dest=f"key_{key}", default=None, metavar="VALUE")
     return p
-
-
-def _gather_text(args, keys: Sequence[str]) -> str:
-    chunks: List[str] = []
-    if args.config is not None:
-        chunks.append(Path(args.config).read_text(encoding="utf-8"))
-    for key in keys:
-        value = getattr(args, f"key_{key}")
-        if value is not None:
-            chunks.append(f"{key} = {value}")
-    return "\n".join(chunks)
 
 
 @functools.lru_cache(maxsize=None)
@@ -269,10 +238,10 @@ def _parser() -> argparse.ArgumentParser:
         description="Finite-difference laboratory for the KdV equation",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    _add_subcommand(sub, "run", "time-step a scheme and write snapshot CSVs", _RUN_KEYS)
-    _add_subcommand(sub, "scan", "amplification-factor stability scan", _SCAN_KEYS)
-    _add_subcommand(sub, "eigen", "spectral probes of the implicit matrix", _EIGEN_KEYS)
-    _add_subcommand(sub, "converge", "grid-refinement convergence study", _CONVERGE_KEYS)
+    _add_subcommand(sub, "run", "time-step a scheme and write snapshot CSVs")
+    _add_subcommand(sub, "scan", "amplification-factor stability scan")
+    _add_subcommand(sub, "eigen", "spectral probes of the implicit matrix")
+    _add_subcommand(sub, "converge", "grid-refinement convergence study")
     return parser
 
 
@@ -283,15 +252,22 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # argparse exits 2 on usage problems; fold into the documented code 1
         return EXIT_USAGE if exc.code else EXIT_OK
 
+    # looked up per call, so a rebound parse_* name in this module is honoured
+    parse, command = {
+        "run": (parse_config, cmd_run),
+        "scan": (parse_scan_config, cmd_scan),
+        "eigen": (parse_eigen_config, cmd_eigen),
+        "converge": (parse_converge_config, cmd_converge),
+    }[args.command]
+    overrides = [
+        (key, value)
+        for key in KEYS
+        if (value := getattr(args, f"key_{key}", None)) is not None
+    ]
     try:
-        if args.command == "run":
-            return cmd_run(parse_config(_gather_text(args, _RUN_KEYS)))
-        if args.command == "scan":
-            return cmd_scan(parse_scan_config(_gather_text(args, _SCAN_KEYS)))
-        if args.command == "eigen":
-            return cmd_eigen(parse_eigen_config(_gather_text(args, _EIGEN_KEYS)))
-        return cmd_converge(parse_converge_config(_gather_text(args, _CONVERGE_KEYS)))
-    except (ConfigError, KdvLabError, OSError, ValueError) as exc:
+        text = "" if args.config is None else args.config.read_text(encoding="utf-8")
+        return command(parse(text, overrides))
+    except (ConfigError, KdvLabError, OSError, ValueError, MemoryError) as exc:
         print(f"kdvlab {args.command}: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

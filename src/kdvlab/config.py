@@ -1,7 +1,11 @@
 """Key=value run configuration: parsing, validation, defaults.
 
 The accepted format is one ``key = value`` per line, ``#`` starting a
-comment, blank lines ignored.  Unknown keys are rejected, and every
+comment, blank lines ignored.  Command-line overrides arrive as
+``(key, value)`` pairs, applied after the file's lines and taken
+verbatim (``#`` included).  One table, :data:`KEYS`, gives every key its
+value kind and the subcommands that accept it; it drives parsing, the
+unknown-key errors, the ``--<key>`` flags and the metadata echo.  Every
 constraint violation names the offending line or key.  The defaults
 reproduce the reference demo pipeline: the [-20, 20] grid with 4001
 points, dt = 0.01, frozen-midpoint Crank-Nicolson, and snapshots at
@@ -13,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Tuple
+from typing import Callable, ClassVar, Dict, Iterable, NamedTuple, Optional, Tuple
 
 from .crank_nicolson import CnConfig, GammaMode, LinearizationKind
 from .errors import ConfigError
@@ -29,7 +33,9 @@ from .model import (
 )
 
 __all__ = [
+    "KEYS",
     "RunConfig",
+    "EigenConfig",
     "ScanConfig",
     "ConvergeConfig",
     "parse_config",
@@ -39,7 +45,7 @@ __all__ = [
 ]
 
 SCHEMES = ("explicit", "cn-lagged", "cn-implicit")
-GAMMA_MODES = ("row-varying", "frozen-midpoint")
+GAMMA_MODES = tuple(m.value for m in GammaMode)
 IC_KINDS = ("appendix", "paper-eq2", "traveling", "file")
 REFINE_MODES = ("time", "space", "both")
 
@@ -49,6 +55,8 @@ DEFAULT_SNAPSHOTS = tuple(k + 0.01 for k in range(1, 9))
 @dataclass
 class RunConfig:
     """Fully validated configuration for one time-stepped run."""
+
+    command: ClassVar[str] = "run"
 
     scheme: str = "cn-lagged"
     gamma_mode: str = "frozen-midpoint"
@@ -62,9 +70,15 @@ class RunConfig:
     snapshot_times: Tuple[float, ...] = DEFAULT_SNAPSHOTS
     paper_normalization: bool = False
     output_dir: Path = Path("out")
-    # eigen-probe extras (ignored by the run command)
-    power_tol: float = 1e-10
-    power_max_iters: int = 10_000
+
+    @property
+    def ic(self) -> Tuple[str, Optional[object]]:
+        """The ``ic`` key: initial-condition kind and its parameter."""
+        return self.ic_kind, self.ic_value
+
+    @ic.setter
+    def ic(self, kind_value: Tuple[str, Optional[object]]) -> None:
+        self.ic_kind, self.ic_value = kind_value
 
     def validate(self) -> None:
         if self.scheme not in SCHEMES:
@@ -102,12 +116,6 @@ class RunConfig:
             raise ConfigError(
                 f"snapshot_times must lie in [0, t_end={self.t_end}], got {times}"
             )
-        if self.power_tol <= 0:
-            raise ConfigError(f"power_tol must be positive, got {self.power_tol}")
-        if self.power_max_iters < 1:
-            raise ConfigError(
-                f"power_max_iters must be >= 1, got {self.power_max_iters}"
-            )
 
     def grid(self) -> Grid1D:
         return Grid1D(self.x_min, self.x_max, self.nx)
@@ -136,15 +144,10 @@ class RunConfig:
             if self.scheme == "cn-implicit"
             else LinearizationKind.LAGGED_COEFFICIENT
         )
-        gamma = (
-            GammaMode.FROZEN_MIDPOINT
-            if self.gamma_mode == "frozen-midpoint"
-            else GammaMode.ROW_VARYING
-        )
         return CnConfig(
             params=self.scheme_params(),
             linearization=linearization,
-            gamma_mode=gamma,
+            gamma_mode=GammaMode(self.gamma_mode),
             paper_normalization=self.paper_normalization,
         )
 
@@ -152,28 +155,38 @@ class RunConfig:
         return ExplicitConfig(params=self.scheme_params())
 
     def echo_lines(self) -> list:
-        """Config echo as deterministic key=value lines."""
-        ic = self.ic_kind
-        if self.ic_value is not None:
-            ic = f"{self.ic_kind} {self.ic_value}"
+        """Config echo as deterministic ``key = value`` lines, in table order."""
         return [
-            f"scheme = {self.scheme}",
-            f"gamma_mode = {self.gamma_mode}",
-            f"x_min = {self.x_min!r}",
-            f"x_max = {self.x_max!r}",
-            f"nx = {self.nx}",
-            f"dt = {self.dt!r}",
-            f"t_end = {self.t_end!r}",
-            f"ic = {ic}",
-            "snapshot_times = " + ",".join(repr(t) for t in self.snapshot_times),
-            f"paper_normalization = {'on' if self.paper_normalization else 'off'}",
-            f"output_dir = {self.output_dir}",
+            f"{key} = {kind.show(getattr(self, key))}"
+            for key, (kind, _) in KEYS.items()
+            if hasattr(self, key)
         ]
+
+
+@dataclass
+class EigenConfig(RunConfig):
+    """Run configuration plus the power-iteration controls of the eigen probe."""
+
+    command: ClassVar[str] = "eigen"
+
+    power_tol: float = 1e-10
+    power_max_iters: int = 10_000
+
+    def validate(self) -> None:
+        super().validate()
+        if self.power_tol <= 0:
+            raise ConfigError(f"power_tol must be positive, got {self.power_tol}")
+        if self.power_max_iters < 1:
+            raise ConfigError(
+                f"power_max_iters must be >= 1, got {self.power_max_iters}"
+            )
 
 
 @dataclass
 class ScanConfig:
     """Parameter grids for a stability scan."""
+
+    command: ClassVar[str] = "scan"
 
     scheme: str = "cn"
     alpha_list: Tuple[float, ...] = (1000.0,)
@@ -198,6 +211,8 @@ class ScanConfig:
 @dataclass
 class ConvergeConfig(RunConfig):
     """Run configuration plus refinement controls for a convergence study."""
+
+    command: ClassVar[str] = "converge"
 
     levels: int = 3
     refine: str = "both"
@@ -227,164 +242,142 @@ class ConvergeConfig(RunConfig):
             )
 
 
-def _strip_comment(line: str) -> str:
-    idx = line.find("#")
-    return line if idx < 0 else line[:idx]
-
-
-def _parse_lines(text: str):
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _strip_comment(raw).strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
-        key, value = line.split("=", 1)
-        yield lineno, key.strip(), value.strip()
-
-
-def _ctx(lineno: Optional[int], key: str) -> str:
-    return f"line {lineno}: key {key!r}" if lineno is not None else f"key {key!r}"
-
-
-def _as_float(value: str, lineno, key) -> float:
+def _as_float(value: str, where: str) -> float:
     try:
         out = float(value)
     except ValueError:
-        raise ConfigError(f"{_ctx(lineno, key)}: not a number: {value!r}") from None
+        raise ConfigError(f"{where}: not a number: {value!r}") from None
     if not math.isfinite(out):
-        raise ConfigError(f"{_ctx(lineno, key)}: value must be finite, got {value!r}")
+        raise ConfigError(f"{where}: value must be finite, got {value!r}")
     return out
 
 
-def _as_int(value: str, lineno, key) -> int:
+def _as_int(value: str, where: str) -> int:
     try:
         return int(value)
     except ValueError:
-        raise ConfigError(f"{_ctx(lineno, key)}: not an integer: {value!r}") from None
+        raise ConfigError(f"{where}: not an integer: {value!r}") from None
 
 
-def _as_bool(value: str, lineno, key) -> bool:
+def _as_bool(value: str, where: str) -> bool:
     lowered = value.lower()
     if lowered in ("on", "true", "yes", "1"):
         return True
     if lowered in ("off", "false", "no", "0"):
         return False
-    raise ConfigError(f"{_ctx(lineno, key)}: expected on/off, got {value!r}")
+    raise ConfigError(f"{where}: expected on/off, got {value!r}")
 
 
-def _as_float_list(value: str, lineno, key) -> Tuple[float, ...]:
+def _as_float_list(value: str, where: str) -> Tuple[float, ...]:
     parts = [p for chunk in value.split(",") for p in chunk.split()]
-    return tuple(_as_float(p, lineno, key) for p in parts)
+    return tuple(_as_float(p, where) for p in parts)
 
 
-def _apply_run_key(cfg: RunConfig, key: str, value: str, lineno) -> bool:
-    """Set one RunConfig field from text; returns False for unknown keys."""
-    if key == "scheme":
-        cfg.scheme = value
-    elif key == "gamma_mode":
-        cfg.gamma_mode = value
-    elif key == "x_min":
-        cfg.x_min = _as_float(value, lineno, key)
-    elif key == "x_max":
-        cfg.x_max = _as_float(value, lineno, key)
-    elif key == "nx":
-        cfg.nx = _as_int(value, lineno, key)
-    elif key == "dt":
-        cfg.dt = _as_float(value, lineno, key)
-    elif key == "t_end":
-        cfg.t_end = _as_float(value, lineno, key)
-    elif key == "ic":
-        parts = value.split(None, 1)
-        cfg.ic_kind = parts[0] if parts else ""
-        cfg.ic_value = None
-        if len(parts) == 2:
-            if cfg.ic_kind == "file":
-                cfg.ic_value = parts[1]
-            else:
-                cfg.ic_value = _as_float(parts[1], lineno, key)
-        elif cfg.ic_kind in ("paper-eq2", "traveling"):
-            raise ConfigError(
-                f"{_ctx(lineno, key)}: ic {cfg.ic_kind} needs a parameter, "
-                f"e.g. 'ic = {cfg.ic_kind} 0.5'"
-            )
-        elif cfg.ic_kind == "file":
-            raise ConfigError(f"{_ctx(lineno, key)}: ic file needs a path")
-    elif key == "snapshot_times":
-        cfg.snapshot_times = _as_float_list(value, lineno, key)
-    elif key == "paper_normalization":
-        cfg.paper_normalization = _as_bool(value, lineno, key)
-    elif key == "output_dir":
-        cfg.output_dir = Path(value)
-    elif key == "power_tol":
-        cfg.power_tol = _as_float(value, lineno, key)
-    elif key == "power_max_iters":
-        cfg.power_max_iters = _as_int(value, lineno, key)
-    else:
-        return False
-    return True
+def _as_ic(value: str, where: str) -> Tuple[str, Optional[object]]:
+    parts = value.split(None, 1)
+    kind = parts[0] if parts else ""
+    if len(parts) == 2:
+        return kind, parts[1] if kind == "file" else _as_float(parts[1], where)
+    if kind in ("paper-eq2", "traveling"):
+        raise ConfigError(
+            f"{where}: ic {kind} needs a parameter, e.g. 'ic = {kind} 0.5'"
+        )
+    if kind == "file":
+        raise ConfigError(f"{where}: ic file needs a path")
+    return kind, None
 
 
-_EIGEN_ONLY_KEYS = ("power_tol", "power_max_iters")
+def _show_ic(kind_value: Tuple[str, Optional[object]]) -> str:
+    kind, value = kind_value
+    return kind if value is None else f"{kind} {value}"
 
 
-def parse_config(text: str) -> RunConfig:
+class _Kind(NamedTuple):
+    """How one key's value is parsed from text and echoed back."""
+
+    parse: Callable[[str, str], object]  # (value text, error context) -> value
+    show: Callable[[object], str]
+
+
+_TEXT = _Kind(lambda value, where: value, str)
+_PATH = _Kind(lambda value, where: Path(value), str)
+_FLOAT = _Kind(_as_float, repr)
+_INT = _Kind(_as_int, str)
+_BOOL = _Kind(_as_bool, lambda on: "on" if on else "off")
+_FLOATS = _Kind(_as_float_list, lambda values: ",".join(map(repr, values)))
+_IC = _Kind(_as_ic, _show_ic)
+
+_ALL = ("run", "eigen", "scan", "converge")
+_STEPPED = ("run", "eigen", "converge")
+
+# Every config key, in the order of the ``--help`` listings and the meta
+# echo: its value kind and the subcommands that accept it.  A key names
+# the attribute it sets on the subcommand's config class.
+KEYS: Dict[str, Tuple[_Kind, Tuple[str, ...]]] = {
+    "scheme": (_TEXT, _ALL),
+    "gamma_mode": (_TEXT, _STEPPED),
+    "x_min": (_FLOAT, _STEPPED),
+    "x_max": (_FLOAT, _STEPPED),
+    "nx": (_INT, _STEPPED),
+    "dt": (_FLOAT, _STEPPED),
+    "t_end": (_FLOAT, _STEPPED),
+    "ic": (_IC, _STEPPED),
+    "snapshot_times": (_FLOATS, ("run", "eigen")),
+    "paper_normalization": (_BOOL, _STEPPED),
+    "alpha_list": (_FLOATS, ("scan",)),
+    "beta_list": (_FLOATS, ("scan",)),
+    "u0_list": (_FLOATS, ("scan",)),
+    "n_theta": (_INT, ("scan",)),
+    "output_dir": (_PATH, _ALL),
+    "levels": (_INT, ("converge",)),
+    "refine": (_TEXT, ("converge",)),
+    "power_tol": (_FLOAT, ("eigen",)),
+    "power_max_iters": (_INT, ("eigen",)),
+}
+
+Overrides = Iterable[Tuple[str, str]]
+
+
+def _settings(text: str, overrides: Overrides):
+    """(error context, key, value) for each file line, then each override."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
+        key, value = (part.strip() for part in line.split("=", 1))
+        yield f"line {lineno}: key {key!r}", key, value
+    for key, value in overrides:
+        yield f"key {key!r}", key, value.strip()
+
+
+def _parse(cls, text: str, overrides: Overrides):
+    cfg = cls()
+    for where, key, value in _settings(text, overrides):
+        kind, commands = KEYS.get(key, (None, ()))
+        if cls.command not in commands:
+            raise ConfigError(f"{where}: unknown key for the {cls.command} command")
+        setattr(cfg, key, kind.parse(value, where))
+    cfg.validate()
+    return cfg
+
+
+def parse_config(text: str, overrides: Overrides = ()) -> RunConfig:
     """Parse and validate a run configuration; empty text gives the demo preset."""
-    cfg = RunConfig()
-    for lineno, key, value in _parse_lines(text):
-        if key in _EIGEN_ONLY_KEYS:
-            raise ConfigError(f"{_ctx(lineno, key)}: unknown key for the run command")
-        if not _apply_run_key(cfg, key, value, lineno):
-            raise ConfigError(f"{_ctx(lineno, key)}: unknown key")
-    cfg.validate()
-    return cfg
+    return _parse(RunConfig, text, overrides)
 
 
-def parse_eigen_config(text: str) -> RunConfig:
+def parse_eigen_config(text: str, overrides: Overrides = ()) -> EigenConfig:
     """Like :func:`parse_config` but also accepts the power-probe keys."""
-    cfg = RunConfig()
-    for lineno, key, value in _parse_lines(text):
-        if not _apply_run_key(cfg, key, value, lineno):
-            raise ConfigError(f"{_ctx(lineno, key)}: unknown key")
-    cfg.validate()
-    return cfg
+    return _parse(EigenConfig, text, overrides)
 
 
-def parse_scan_config(text: str) -> ScanConfig:
+def parse_scan_config(text: str, overrides: Overrides = ()) -> ScanConfig:
     """Parse a stability-scan configuration."""
-    cfg = ScanConfig()
-    for lineno, key, value in _parse_lines(text):
-        if key == "scheme":
-            cfg.scheme = value
-        elif key == "alpha_list":
-            cfg.alpha_list = _as_float_list(value, lineno, key)
-        elif key == "beta_list":
-            cfg.beta_list = _as_float_list(value, lineno, key)
-        elif key == "u0_list":
-            cfg.u0_list = _as_float_list(value, lineno, key)
-        elif key == "n_theta":
-            cfg.n_theta = _as_int(value, lineno, key)
-        elif key == "output_dir":
-            cfg.output_dir = Path(value)
-        else:
-            raise ConfigError(f"{_ctx(lineno, key)}: unknown key")
-    cfg.validate()
-    return cfg
+    return _parse(ScanConfig, text, overrides)
 
 
-def parse_converge_config(text: str) -> ConvergeConfig:
+def parse_converge_config(text: str, overrides: Overrides = ()) -> ConvergeConfig:
     """Parse a convergence-study configuration."""
-    cfg = ConvergeConfig()
-    for lineno, key, value in _parse_lines(text):
-        if key == "levels":
-            cfg.levels = _as_int(value, lineno, key)
-        elif key == "refine":
-            cfg.refine = value
-        elif key in _EIGEN_ONLY_KEYS or key == "snapshot_times":
-            raise ConfigError(
-                f"{_ctx(lineno, key)}: unknown key for the converge command"
-            )
-        elif not _apply_run_key(cfg, key, value, lineno):
-            raise ConfigError(f"{_ctx(lineno, key)}: unknown key")
-    cfg.validate()
-    return cfg
+    return _parse(ConvergeConfig, text, overrides)

@@ -192,6 +192,45 @@ def test_run_command_usage_errors(tmp_path):
                  "--snapshot_times", "0.2"]) == 0
 
 
+def test_override_values_are_verbatim(tmp_path):
+    # '#' starts a comment in a config file, but not in a --key value
+    out = tmp_path / "runs" / "#3"
+    assert main(["scan", "--output_dir", str(out)]) == 0
+    assert (out / "scan.csv").is_file()
+    assert not (tmp_path / "runs" / "scan.csv").exists()
+
+
+def test_override_ic_file_path_with_hash(tmp_path):
+    g = Grid1D(-10.0, 10.0, 201)
+    ic = WaveField(g, 0.0, -0.5 / np.cosh(0.35 * g.points()) ** 2)
+    ic_path = tmp_path / "data#1.csv"
+    write_field_csv(ic_path, ic)
+    assert main(small_run_args(tmp_path, ic=f"file {ic_path}", snapshot_times="0")) == 0
+    back = read_field_csv(tmp_path / "out" / snapshot_filename(0.0), g)
+    assert np.array_equal(back.values, ic.values)
+    assert f"ic = file {ic_path}\n" in (tmp_path / "out" / "run.meta").read_text()
+
+
+def test_override_errors_name_the_key_without_a_line(capsys):
+    assert main(["run", "--nx", "many"]) == 1
+    err = capsys.readouterr().err
+    assert err == "kdvlab run: error: key 'nx': not an integer: 'many'\n"
+
+
+def test_keys_of_other_commands_are_unknown():
+    with pytest.raises(ConfigError, match="unknown key for the scan command"):
+        parse_scan_config("nx = 101")
+    with pytest.raises(ConfigError, match="unknown key for the converge command"):
+        parse_converge_config("snapshot_times = 0.5")
+
+
+def test_unallocatable_grid_is_a_clean_error(tmp_path, capsys):
+    # 10^15 doubles (7 PiB) exceed the address space: refused before any page is touched
+    args = ["run", "--nx", "1000000000000000", "--output_dir", str(tmp_path / "out")]
+    assert main(args) == 1
+    assert capsys.readouterr().err.startswith("kdvlab run: error: ")
+
+
 def test_run_outputs_byte_identical(tmp_path):
     a1 = small_run_args(tmp_path, output_dir=str(tmp_path / "a"))
     a2 = small_run_args(tmp_path, output_dir=str(tmp_path / "b"))
