@@ -1,14 +1,16 @@
 """Pentadiagonal storage, banded LU solves, and spectral probes.
 
-The five-band matrices produced by the implicit schemes are solved with
-an LU factorisation whose partial pivoting stays confined to the band;
-row exchanges widen the upper bandwidth from 2 to at most 4, so the
-working storage keeps seven diagonals per row.  The factorisation is
-LAPACK's ``dgbtrf``/``dgbtrs``, called through ``ctypes`` in the LAPACK
-that numpy links; where no such symbol resolves, a hand-rolled kernel,
-which is also the reference the tests compare against, does the same
-elimination in Python.  A dense reference solve is provided purely as a
-test oracle.
+A :class:`Pentadiagonal` keeps its five bands in one array laid out as
+LAPACK's general band storage, ``bands[2 + i - j, j] = A[i, j]``.  The
+implicit schemes' systems are solved with an LU factorisation whose
+partial pivoting stays confined to the band; row exchanges widen the
+upper bandwidth from 2 to at most 4, so the working array adds two fill
+rows to the five bands, and both solve paths factor that same array.
+The factorisation is LAPACK's ``dgbtrf``/``dgbtrs``, called through
+``ctypes`` in the LAPACK that numpy links; where no such symbol
+resolves, a hand-rolled kernel, which is also the reference the tests
+compare against, does the same elimination in Python.  A dense
+reference solve is provided purely as a test oracle.
 """
 
 from __future__ import annotations
@@ -39,39 +41,45 @@ __all__ = [
 PIVOT_RTOL = 1e-14
 
 
-@dataclass(frozen=True)
 class Pentadiagonal:
     """Square matrix with five bands: offsets -2, -1, 0, +1, +2.
 
-    Band k of ``sub1`` is entry (k+1, k); band k of ``sup1`` is entry
-    (k, k+1), and similarly two places out for ``sub2``/``sup2``.
+    ``bands`` is one read-only ``(5, n)`` array in LAPACK band order,
+    ``bands[2 + i - j, j] = A[i, j]``, whose four corners outside the
+    matrix are 0.  Band k of ``sub1`` is entry (k+1, k); band k of
+    ``sup1`` is entry (k, k+1), and similarly two places out for
+    ``sub2``/``sup2``; the five named bands are views of ``bands``.
     """
 
-    sub2: np.ndarray
-    sub1: np.ndarray
-    diag: np.ndarray
-    sup1: np.ndarray
-    sup2: np.ndarray
+    __slots__ = ("_bands", "_views")
 
-    def __post_init__(self):
-        bands = {}
-        for name in ("sub2", "sub1", "diag", "sup1", "sup2"):
-            arr = np.array(getattr(self, name), dtype=float, copy=True)
-            arr.flags.writeable = False
-            bands[name] = arr
-            object.__setattr__(self, name, arr)
-        n = bands["diag"].shape[0]
+    def __init__(self, sub2, sub1, diag, sup1, sup2):
+        given = {"sup2": sup2, "sup1": sup1, "diag": diag, "sub1": sub1, "sub2": sub2}
+        arrays = {name: np.asarray(v, dtype=float) for name, v in given.items()}
+        n = arrays["diag"].shape[0]
         if n < 5:
             raise ValueError(f"pentadiagonal dimension must be >= 5, got {n}")
-        for name, expected in (("sub1", n - 1), ("sup1", n - 1), ("sub2", n - 2), ("sup2", n - 2)):
-            if bands[name].shape != (expected,):
-                raise ValueError(
-                    f"band {name} must have length {expected}, got {bands[name].shape}"
-                )
+        bands = np.zeros((5, n))
+        views = tuple(bands[row, max(0, 2 - row):n - max(0, row - 2)] for row in range(5))
+        for view, (name, arr) in zip(views, arrays.items()):
+            if arr.shape != view.shape:
+                raise ValueError(f"band {name} must have length {view.size}, got {arr.shape}")
+            view[:] = arr
+        for frozen in (bands, *views):
+            frozen.flags.writeable = False
+        self._bands = bands
+        self._views = views
+
+    bands = property(lambda self: self._bands)
+    sup2 = property(lambda self: self._views[0])
+    sup1 = property(lambda self: self._views[1])
+    diag = property(lambda self: self._views[2])
+    sub1 = property(lambda self: self._views[3])
+    sub2 = property(lambda self: self._views[4])
 
     @property
     def n(self) -> int:
-        return self.diag.shape[0]
+        return self._bands.shape[1]
 
     @classmethod
     def identity(cls, n: int) -> "Pentadiagonal":
@@ -88,28 +96,16 @@ class Pentadiagonal:
         M = np.asarray(M, dtype=float)
         if M.ndim != 2 or M.shape[0] != M.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {M.shape}")
-        stripped = M.copy()
-        for k in range(-2, 3):
-            rows = np.arange(max(0, -k), M.shape[0] - max(0, k))
-            stripped[rows, rows + k] = 0.0
-        if np.any(stripped != 0.0):
+        if np.any(np.triu(M, 3)) or np.any(np.tril(M, -3)):
             raise ValueError("matrix has entries outside the five bands")
-        return cls(
-            sub2=np.diag(M, -2),
-            sub1=np.diag(M, -1),
-            diag=np.diag(M),
-            sup1=np.diag(M, 1),
-            sup2=np.diag(M, 2),
-        )
+        return cls(*(np.diag(M, k) for k in (-2, -1, 0, 1, 2)))
 
     def to_dense(self) -> np.ndarray:
         n = self.n
         M = np.zeros((n, n))
-        M[np.arange(n), np.arange(n)] = self.diag
-        M[np.arange(1, n), np.arange(n - 1)] = self.sub1
-        M[np.arange(n - 1), np.arange(1, n)] = self.sup1
-        M[np.arange(2, n), np.arange(n - 2)] = self.sub2
-        M[np.arange(n - 2), np.arange(2, n)] = self.sup2
+        for k, band in zip((2, 1, 0, -1, -2), self._views):
+            rows = np.arange(max(0, -k), n - max(0, k))
+            M[rows, rows + k] = band
         return M
 
     def transpose(self) -> "Pentadiagonal":
@@ -171,33 +167,39 @@ def matvec_transpose(P: Pentadiagonal, x) -> np.ndarray:
     return y
 
 
-def _pack_working_band(P: Pentadiagonal) -> np.ndarray:
-    """Row-major working storage W[i, j] = A[i, i - 2 + j], offsets -2..+4."""
-    n = P.n
-    W = np.zeros((n, 7))
-    W[2:, 0] = P.sub2
-    W[1:, 1] = P.sub1
-    W[:, 2] = P.diag
-    W[:-1, 3] = P.sup1
-    W[:-2, 4] = P.sup2
-    return W
+# LAPACK band storage for kl = ku = 2: dgbtrf needs kl extra rows for the
+# fill that pivoting causes, so ldab = 2 kl + ku + 1 = 7, and the diagonal
+# (of A on entry, of U on exit) is band row kl + ku = 4.
+_KL = _KU = 2
+_LDAB = 2 * _KL + _KU + 1
 
 
-def _lu_solve_kernel(W, b, x, pivot_floor):
+def _working_band(P: Pentadiagonal) -> np.ndarray:
+    """Fresh LU working array: row j is column j of LAPACK's AB(ldab, n).
+
+    ``ab[j, 4 + i - j] = A[i, j]``; the first kl entries of each row start
+    at 0 and take the fill that row exchanges bring.
+    """
+    ab = np.zeros((P.n, _LDAB))
+    ab[:, _KL:] = P.bands.T
+    return ab
+
+
+def _lu_solve_kernel(ab, b, x, pivot_floor):
     """In-place banded LU with partial pivoting; returns -1 or the failing row.
 
-    W is the 7-offset working band (columns are offsets -2..+4 from the
-    row index); b is consumed as workspace.  Row swaps exchange only the
-    column-aligned segment [k, k+4], which is where all remaining
-    nonzeros of the candidate rows live.
+    ab is the working array of :func:`_working_band`, so entry (i, c) of
+    the matrix is ``ab[c, 4 + i - c]``; b is consumed as workspace.  Row
+    swaps exchange only the column-aligned segment [k, k+4], which is
+    where all remaining nonzeros of the candidate rows live.
     """
-    n = W.shape[0]
+    n = ab.shape[0]
     for k in range(n):
         rmax = min(k + 2, n - 1)
         piv_row = k
-        piv_val = abs(W[k, 2])
+        piv_val = abs(ab[k, 4])
         for r in range(k + 1, rmax + 1):
-            v = abs(W[r, k - r + 2])
+            v = abs(ab[k, 4 + r - k])
             if v > piv_val:
                 piv_val = v
                 piv_row = r
@@ -206,26 +208,26 @@ def _lu_solve_kernel(W, b, x, pivot_floor):
         if piv_row != k:
             cmax = min(k + 4, n - 1)
             for c in range(k, cmax + 1):
-                tmp = W[k, c - k + 2]
-                W[k, c - k + 2] = W[piv_row, c - piv_row + 2]
-                W[piv_row, c - piv_row + 2] = tmp
+                tmp = ab[c, 4 + k - c]
+                ab[c, 4 + k - c] = ab[c, 4 + piv_row - c]
+                ab[c, 4 + piv_row - c] = tmp
             tmp = b[k]
             b[k] = b[piv_row]
             b[piv_row] = tmp
         cmax = min(k + 4, n - 1)
         for r in range(k + 1, rmax + 1):
-            m = W[r, k - r + 2] / W[k, 2]
-            W[r, k - r + 2] = 0.0
+            m = ab[k, 4 + r - k] / ab[k, 4]
+            ab[k, 4 + r - k] = 0.0
             if m != 0.0:
                 for c in range(k + 1, cmax + 1):
-                    W[r, c - r + 2] -= m * W[k, c - k + 2]
+                    ab[c, 4 + r - c] -= m * ab[c, 4 + k - c]
                 b[r] -= m * b[k]
     for i in range(n - 1, -1, -1):
         s = b[i]
         cmax = min(i + 4, n - 1)
         for c in range(i + 1, cmax + 1):
-            s -= W[i, c - i + 2] * x[c]
-        x[i] = s / W[i, 2]
+            s -= ab[c, 4 + i - c] * x[c]
+        x[i] = s / ab[i, 4]
     return -1
 
 
@@ -243,20 +245,13 @@ def _singular(row: int) -> SingularMatrixError:
 def reference_solve_banded(P: Pentadiagonal, b) -> np.ndarray:
     """Solve P x = b with the hand-rolled kernel: the fallback and the test reference."""
     b = _check_rhs(P, b)
-    W = _pack_working_band(P)
+    ab = _working_band(P)
     rhs = b.copy()
     x = np.empty_like(rhs)
-    fail_row = _lu_solve_kernel(W, rhs, x, PIVOT_RTOL * np.max(np.abs(W)))
+    fail_row = _lu_solve_kernel(ab, rhs, x, PIVOT_RTOL * np.max(np.abs(ab)))
     if fail_row >= 0:
         raise _singular(int(fail_row))
     return x
-
-
-# LAPACK band storage for kl = ku = 2: dgbtrf needs kl extra rows for the
-# fill that pivoting causes, so ldab = 2 kl + ku + 1 = 7, and the diagonal
-# (of A on entry, of U on exit) is band row kl + ku = 4.
-_KL = _KU = 2
-_LDAB = 2 * _KL + _KU + 1
 
 
 def _lapack_solver(library: str):
@@ -302,13 +297,7 @@ def _lapack_solver(library: str):
         # each bound to a name until the routines return
         x = np.array(_check_rhs(P, b))
         n = c_int(P.n)
-        # row j of ``ab`` is column j of the Fortran AB(ldab, n): ab[j, 4 + i - j] = A[i, j]
-        ab = np.zeros((P.n, _LDAB))
-        ab[2:, 2] = P.sup2
-        ab[1:, 3] = P.sup1
-        ab[:, 4] = P.diag
-        ab[:-1, 5] = P.sub1
-        ab[:-2, 6] = P.sub2
+        ab = _working_band(P)
         pivot_floor = PIVOT_RTOL * np.max(np.abs(ab))
         ipiv = np.empty(P.n, dtype=c_int)
         info = c_int(0)

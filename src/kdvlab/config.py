@@ -169,6 +169,7 @@ class EigenConfig(RunConfig):
 
     command: ClassVar[str] = "eigen"
 
+    snapshot_times: Tuple[float, ...] = ()
     power_tol: float = 1e-10
     power_max_iters: int = 10_000
 
@@ -322,13 +323,13 @@ KEYS: Dict[str, Tuple[_Kind, Tuple[str, ...]]] = {
     "dt": (_FLOAT, _STEPPED),
     "t_end": (_FLOAT, _STEPPED),
     "ic": (_IC, _STEPPED),
-    "snapshot_times": (_FLOATS, ("run", "eigen")),
+    "snapshot_times": (_FLOATS, ("run",)),
     "paper_normalization": (_BOOL, _STEPPED),
     "alpha_list": (_FLOATS, ("scan",)),
     "beta_list": (_FLOATS, ("scan",)),
     "u0_list": (_FLOATS, ("scan",)),
     "n_theta": (_INT, ("scan",)),
-    "output_dir": (_PATH, _ALL),
+    "output_dir": (_PATH, ("run", "scan", "converge")),
     "levels": (_INT, ("converge",)),
     "refine": (_TEXT, ("converge",)),
     "power_tol": (_FLOAT, ("eigen",)),

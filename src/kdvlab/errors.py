@@ -8,13 +8,11 @@ class KdvLabError(Exception):
 class BlowUpError(KdvLabError):
     """A time step produced values above the amplitude threshold or non-finite.
 
-    ``step`` is the time-step index when known (run drivers fill it in);
     ``max_value`` is the offending magnitude, ``inf`` for non-finite data.
     """
 
-    def __init__(self, message, step=None, max_value=None):
+    def __init__(self, message, max_value=None):
         super().__init__(message)
-        self.step = step
         self.max_value = max_value
 
 

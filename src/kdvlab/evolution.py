@@ -119,8 +119,7 @@ def evolve(
             break
         try:
             state = step(state)
-        except BlowUpError as exc:
-            exc.step = n
+        except BlowUpError:
             return RunResult(
                 requested_times=requested,
                 snapshots=snapshots,

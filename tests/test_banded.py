@@ -109,6 +109,49 @@ def test_transpose_swaps_bands():
     assert np.array_equal(P.transpose().to_dense(), P.to_dense().T)
 
 
+def test_band_array_is_lapack_band_order():
+    rng = np.random.default_rng(15)
+    for n in (5, 6, 9):
+        P = random_penta(rng, n)
+        dense = P.to_dense()
+        assert P.bands.shape == (5, n)
+        for i in range(n):
+            for j in range(max(0, i - 2), min(n, i + 3)):
+                assert P.bands[2 + i - j, j] == dense[i, j]
+        corners = [P.bands[0, 0], P.bands[0, 1], P.bands[1, 0], P.bands[3, -1],
+                   P.bands[4, -2], P.bands[4, -1]]
+        assert corners == [0.0] * 6
+
+
+def test_named_bands_are_views_of_the_band_array():
+    P = random_penta(np.random.default_rng(16), 7)
+    for band in (P.sub2, P.sub1, P.diag, P.sup1, P.sup2):
+        assert np.shares_memory(band, P.bands)
+
+
+def test_band_storage_is_read_only():
+    P = random_penta(np.random.default_rng(17), 7)
+    with pytest.raises(ValueError):
+        P.bands[2, 0] = 5.0
+    for band in (P.sub2, P.sub1, P.diag, P.sup1, P.sup2):
+        with pytest.raises(ValueError):
+            band[0] = 5.0
+    with pytest.raises(AttributeError):
+        P.diag = np.ones(7)
+    with pytest.raises(AttributeError):
+        P.bands = np.zeros((5, 7))
+
+
+def test_band_storage_copies_its_inputs():
+    rng = np.random.default_rng(18)
+    inputs = [rng.standard_normal(m) for m in (5, 6, 7, 6, 5)]
+    P = Pentadiagonal(*inputs)
+    before = P.to_dense()
+    for arr in inputs:
+        arr[:] = 99.0
+    assert np.array_equal(P.to_dense(), before)
+
+
 # ---------------------------------------------------------------------------
 # matvec
 # ---------------------------------------------------------------------------

@@ -224,6 +224,24 @@ def test_keys_of_other_commands_are_unknown():
         parse_converge_config("snapshot_times = 0.5")
 
 
+def test_eigen_accepts_a_horizon_before_the_run_snapshots(capsys):
+    # eigen takes no snapshot times, so the run's defaults (up to 8.01) do not apply
+    assert parse_eigen_config("t_end = 5").snapshot_times == ()
+    assert main(["eigen", "--nx", "54", "--t_end", "5", "--power_max_iters", "50"]) == 0
+    assert capsys.readouterr().out.startswith("kdvlab eigen probe\n")
+
+
+def test_eigen_rejects_output_dir(tmp_path, capsys):
+    with pytest.raises(ConfigError, match="unknown key for the eigen command"):
+        parse_eigen_config("output_dir = elsewhere")
+    cfg_file = tmp_path / "eigen.cfg"
+    cfg_file.write_text(f"nx = 54\noutput_dir = {tmp_path / 'o'}\n")
+    assert main(["eigen", "--config", str(cfg_file)]) == 1
+    assert "unknown key for the eigen command" in capsys.readouterr().err
+    assert main(["eigen", "--output_dir", str(tmp_path / "o")]) == 1
+    assert not (tmp_path / "o").exists()
+
+
 def test_unallocatable_grid_is_a_clean_error(tmp_path, capsys):
     # 10^15 doubles (7 PiB) exceed the address space: refused before any page is touched
     args = ["run", "--nx", "1000000000000000", "--output_dir", str(tmp_path / "out")]
