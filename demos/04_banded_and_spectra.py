@@ -7,7 +7,9 @@ pairs!), so real power iteration has nothing to converge to: the
 Rayleigh quotient locks at exactly 1 while the eigen-residual stays
 O(||K||).  Power iteration on the Gram operator A^T A is the sound
 probe; it recovers sigma_max, and invertibility needs no iteration at
-all: sigma_min >= 1 by structure.
+all: sigma_min >= 1 by structure.  Neither does an upper bound on
+sigma_max: A's bands are constant, so it is a banded Toeplitz section,
+and its norm is at most the sup of its symbol.
 """
 
 import numpy as np
@@ -22,6 +24,7 @@ from kdvlab import (
     matvec,
     power_iteration,
     solve_banded,
+    symbol_bound,
 )
 from kdvlab.crank_nicolson import EIGEN_PROBE_PARAMS, assemble_lagged
 
@@ -48,4 +51,5 @@ print(
     f"gram power iteration:  sigma_max = {gram.estimate:.4f}, "
     f"converged = {gram.converged}, residual = {gram.residual:.3g}"
 )
+print(f"symbol bound:          sigma_max <= {symbol_bound(A):.4f}  (closed form, no sweeps)")
 print(invertibility_certificate(A))

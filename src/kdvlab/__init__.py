@@ -29,6 +29,7 @@ from .banded import (
     matvec_transpose,
     power_iteration,
     solve_banded,
+    symbol_bound,
 )
 from .crank_nicolson import (
     CnConfig,

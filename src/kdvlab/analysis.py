@@ -85,14 +85,24 @@ class AmplificationPoint:
     magnitude: float
 
 
-def _cn_symbol_g(theta: float, params: SchemeParams, u0: float) -> float:
+def _cn_symbol_g(sin1, sin2, params: SchemeParams, u0: float):
+    """CN symbol's g from sin(theta) and sin(2 theta), scalars or arrays alike."""
     alpha = params.alpha
     beta = params.beta
-    return (
-        (alpha / 2.0) * math.sin(2.0 * theta)
-        - alpha * math.sin(theta)
-        - (3.0 * beta / 4.0) * u0 * math.sin(theta)
-    )
+    return (alpha / 2.0) * sin2 - alpha * sin1 - (3.0 * beta / 4.0) * u0 * sin1
+
+
+def _cn_lambda(g):
+    """(re, im) of lambda = (1 - ig)/(1 + ig), for a scalar or an array g."""
+    denom = 1.0 + g * g
+    return (1.0 - g * g) / denom, -2.0 * g / denom
+
+
+def _explicit_symbol_g(sin1, sin2, params: SchemeParams, u0: float):
+    """Explicit symbol's g from sin(theta) and sin(2 theta), scalars or arrays alike."""
+    alpha = params.alpha
+    beta = params.beta
+    return (3.0 * beta / 2.0) * u0 * sin1 + 2.0 * alpha * sin1 - alpha * sin2
 
 
 def cn_amplification(theta: float, params: SchemeParams, u0: float) -> AmplificationPoint:
@@ -101,10 +111,7 @@ def cn_amplification(theta: float, params: SchemeParams, u0: float) -> Amplifica
     g(theta) = (alpha/2) sin 2theta - alpha sin theta
                - (3 beta/4) u0 sin theta.
     """
-    g = _cn_symbol_g(theta, params, u0)
-    denom = 1.0 + g * g
-    re = (1.0 - g * g) / denom
-    im = -2.0 * g / denom
+    re, im = _cn_lambda(_cn_symbol_g(math.sin(theta), math.sin(2.0 * theta), params, u0))
     return AmplificationPoint(
         theta=theta, lambda_re=re, lambda_im=im, magnitude=math.hypot(re, im)
     )
@@ -116,13 +123,7 @@ def explicit_amplification(theta: float, params: SchemeParams, u0: float) -> Amp
     g(theta) = (3 beta/2) u0 sin theta + 2 alpha sin theta
                - alpha sin 2theta.
     """
-    alpha = params.alpha
-    beta = params.beta
-    g = (
-        (3.0 * beta / 2.0) * u0 * math.sin(theta)
-        + 2.0 * alpha * math.sin(theta)
-        - alpha * math.sin(2.0 * theta)
-    )
+    g = _explicit_symbol_g(math.sin(theta), math.sin(2.0 * theta), params, u0)
     return AmplificationPoint(
         theta=theta, lambda_re=1.0, lambda_im=g, magnitude=math.hypot(1.0, g)
     )
@@ -152,17 +153,24 @@ def stability_scan(
     for t in thetas:
         if t < 0.0 or t > math.pi:
             raise ValueError(f"theta samples must lie in [0, pi], got {t}")
-    if scheme == SCHEME_CN:
-        amp = cn_amplification
-    elif scheme == SCHEME_EXPLICIT:
-        amp = explicit_amplification
-    else:
+    if scheme not in (SCHEME_CN, SCHEME_EXPLICIT):
         raise ValueError(f"unknown scheme {scheme!r}; expected 'cn' or 'explicit'")
+    # math.sin and math.hypot, as in the scalar factors, so every row is the
+    # max of their magnitudes bit for bit (np.hypot can differ in the last bit)
+    sin1 = np.array([math.sin(t) for t in thetas])
+    sin2 = np.array([math.sin(2.0 * t) for t in thetas])
     rows = []
-    for params in params_list:
-        for u0 in u0_list:
-            worst = max(amp(t, params, u0).magnitude for t in thetas) if thetas else 0.0
-            rows.append(ScanRow(params=params, u0=float(u0), max_magnitude=worst))
+    # overflow to inf and nan passes silently, as in the scalar factors' float arithmetic
+    with np.errstate(over="ignore", invalid="ignore"):
+        for params in params_list:
+            for u0 in u0_list:
+                if scheme == SCHEME_CN:
+                    re, im = _cn_lambda(_cn_symbol_g(sin1, sin2, params, u0))
+                else:
+                    im = _explicit_symbol_g(sin1, sin2, params, u0)
+                    re = np.ones_like(im)
+                worst = max(map(math.hypot, re.tolist(), im.tolist()), default=0.0)
+                rows.append(ScanRow(params=params, u0=float(u0), max_magnitude=worst))
     return rows
 
 

@@ -16,7 +16,9 @@ reference solve is provided purely as a test oracle.
 from __future__ import annotations
 
 import ctypes
+import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -34,6 +36,7 @@ __all__ = [
     "dense_reference_solve",
     "power_iteration",
     "gram_power_iteration",
+    "symbol_bound",
     "invertibility_certificate",
 ]
 
@@ -431,6 +434,45 @@ def skew_deviation(P: Pentadiagonal) -> float:
     dev = max(dev, np.abs((P.sub1 + P.sup1) / 2.0).max())
     dev = max(dev, np.abs((P.sub2 + P.sup2) / 2.0).max())
     return float(dev)
+
+
+# Outward rounding of symbol_bound: 32 units of 2**-52, several times the
+# few-ulp error of evaluating h at its computed maximiser.
+_SYMBOL_RTOL = 32 * 2.0**-52
+
+
+def symbol_bound(P: Pentadiagonal) -> Optional[float]:
+    """Upper bound on sigma_max of P from its Toeplitz symbol, or None.
+
+    Applies to identity-plus-skew matrices with constant bands, such as
+    the frozen-midpoint A.  P is then a section of the banded Toeplitz
+    operator with symbol f = 1 + 2i h, h(theta) = c1 sin theta +
+    c2 sin 2theta, where c1 = sup1[0] and c2 = sup2[0]; a section's norm
+    is at most sup |f| (Boettcher & Grudsky, Spectral Properties of
+    Banded Toeplitz Matrices, SIAM 2005).  |h| peaks where h' = 0, at
+    cos theta = (-c1 +- sqrt(c1^2 + 32 c2^2)) / (8 c2), or at theta = pi/2
+    when c2 = 0, so the sup is closed-form.  It is rounded outward by
+    ``_SYMBOL_RTOL``, except that h = 0 (the identity) gives exactly 1.
+    """
+    if skew_deviation(P) != 0.0:
+        return None
+    c1, c2 = float(P.sup1[0]), float(P.sup2[0])
+    if np.any(P.sup1 != c1) or np.any(P.sup2 != c2):
+        return None
+    if c2 == 0.0:
+        h_max = abs(c1)
+    else:
+        # roots of 4 c2 c^2 + c1 c - 2 c2 = 0 without cancellation; their
+        # product is -1/2, so at least one lies in [-1, 1]
+        q = -(c1 + math.copysign(math.hypot(c1, 4.0 * math.sqrt(2.0) * c2), c1)) / 2.0
+        h_max = 0.0
+        for c in (q / (4.0 * c2), -2.0 * c2 / q):
+            if abs(c) <= 1.0:
+                t = math.acos(c)
+                h_max = max(h_max, abs(c1 * math.sin(t) + c2 * math.sin(2.0 * t)))
+    if h_max == 0.0:
+        return 1.0
+    return math.hypot(1.0, 2.0 * h_max) * (1.0 + _SYMBOL_RTOL)
 
 
 def invertibility_certificate(P: Pentadiagonal) -> CertificateReport:

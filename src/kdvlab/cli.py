@@ -25,6 +25,7 @@ from .banded import (
     gram_power_iteration,
     invertibility_certificate,
     power_iteration,
+    symbol_bound,
 )
 from .config import (
     KEYS,
@@ -96,19 +97,29 @@ def cmd_scan(cfg: ScanConfig) -> int:
 def eigen_report_text(
     A: Pentadiagonal, tol: float = 1e-10, max_iters: int = 10_000
 ) -> str:
-    """Spectral probe report for one matrix: both probes plus the certificate."""
+    """Spectral probe report for one matrix: power iteration, sigma_max and the certificate.
+
+    sigma_max is :func:`symbol_bound` where that applies, else the Gram probe's estimate.
+    """
     b0 = np.ones(A.n) / math.sqrt(A.n)
     plain = power_iteration(A, b0, tol=tol, max_iters=max_iters)
-    gram = gram_power_iteration(A, tol=tol, max_iters=max_iters)
+    bound = symbol_bound(A)
+    if bound is None:
+        gram = gram_power_iteration(A, tol=tol, max_iters=max_iters)
+        sigma_line = (
+            "gram_power_iteration: "
+            f"sigma_max = {_fmt(gram.estimate)} iterations = {gram.iterations} "
+            f"converged = {str(gram.converged).lower()} residual = {_fmt(gram.residual)}"
+        )
+    else:
+        sigma_line = f"symbol_bound: sigma_max = {_fmt(bound)} kind = upper-bound"
     cert = invertibility_certificate(A)
     lines = [
         f"n = {A.n}",
         "power_iteration: "
         f"estimate = {_fmt(plain.estimate)} iterations = {plain.iterations} "
         f"converged = {str(plain.converged).lower()} residual = {_fmt(plain.residual)}",
-        "gram_power_iteration: "
-        f"sigma_max = {_fmt(gram.estimate)} iterations = {gram.iterations} "
-        f"converged = {str(gram.converged).lower()} residual = {_fmt(gram.residual)}",
+        sigma_line,
         f"certificate: method = {cert.method} certified = {str(cert.certified).lower()}",
         f"certificate_detail: {cert.detail}",
     ]

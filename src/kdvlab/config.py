@@ -308,14 +308,13 @@ _BOOL = _Kind(_as_bool, lambda on: "on" if on else "off")
 _FLOATS = _Kind(_as_float_list, lambda values: ",".join(map(repr, values)))
 _IC = _Kind(_as_ic, _show_ic)
 
-_ALL = ("run", "eigen", "scan", "converge")
 _STEPPED = ("run", "eigen", "converge")
 
 # Every config key, in the order of the ``--help`` listings and the meta
 # echo: its value kind and the subcommands that accept it.  A key names
 # the attribute it sets on the subcommand's config class.
 KEYS: Dict[str, Tuple[_Kind, Tuple[str, ...]]] = {
-    "scheme": (_TEXT, _ALL),
+    "scheme": (_TEXT, ("run", "scan", "converge")),
     "gamma_mode": (_TEXT, _STEPPED),
     "x_min": (_FLOAT, _STEPPED),
     "x_max": (_FLOAT, _STEPPED),
@@ -324,7 +323,7 @@ KEYS: Dict[str, Tuple[_Kind, Tuple[str, ...]]] = {
     "t_end": (_FLOAT, _STEPPED),
     "ic": (_IC, _STEPPED),
     "snapshot_times": (_FLOATS, ("run",)),
-    "paper_normalization": (_BOOL, _STEPPED),
+    "paper_normalization": (_BOOL, ("run", "converge")),
     "alpha_list": (_FLOATS, ("scan",)),
     "beta_list": (_FLOATS, ("scan",)),
     "u0_list": (_FLOATS, ("scan",)),

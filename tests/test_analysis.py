@@ -172,6 +172,27 @@ def test_scan_invariant_under_theta_reordering():
     assert fwd[0].max_magnitude == rev[0].max_magnitude
 
 
+@pytest.mark.parametrize("scheme, amp", [("cn", cn_amplification),
+                                         ("explicit", explicit_amplification)])
+def test_scan_rows_are_the_max_of_the_scalar_factors(scheme, amp):
+    # this seed's corpus holds, for each scheme, a row whose max would move
+    # by one ulp if the scan reduced with np.hypot instead of math.hypot
+    rng = np.random.default_rng(105)
+    for _ in range(12):
+        n_theta = int(rng.integers(2, 2001))
+        thetas = np.linspace(0.0, math.pi, n_theta)
+        if rng.random() < 0.5:
+            thetas = rng.uniform(0.0, math.pi, n_theta)
+        params = [SchemeParams.from_alpha_beta(10.0 ** rng.uniform(-3.0, 5.0),
+                                               10.0 ** rng.uniform(-1.0, 1.0))
+                  for _ in range(2)]
+        u0_list = [float(u) for u in rng.uniform(-2.0, 2.0, 2)]
+        rows = stability_scan(scheme, params, u0_list, thetas)
+        expected = [max(amp(float(t), p, u0).magnitude for t in thetas)
+                    for p in params for u0 in u0_list]
+        assert [row.max_magnitude for row in rows] == expected
+
+
 def test_scan_rejects_bad_inputs():
     with pytest.raises(ValueError):
         stability_scan("cn", [], [0.0], [4.0])  # theta outside [0, pi]

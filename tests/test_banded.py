@@ -5,8 +5,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kdvlab import banded
+from kdvlab.analysis import _cn_symbol_g
 from kdvlab.banded import (
     Pentadiagonal,
     PowerIterationReport,
@@ -19,7 +22,10 @@ from kdvlab.banded import (
     reference_solve_banded,
     skew_deviation,
     solve_banded,
+    symbol_bound,
 )
+from kdvlab.config import parse_eigen_config
+from kdvlab.crank_nicolson import assemble_implicit, assemble_lagged
 from kdvlab.errors import SingularMatrixError
 
 # The solve tests run each case through both solve paths: solve_banded
@@ -459,6 +465,92 @@ def test_power_probes_stop_in_the_null_space():
     expected = PowerIterationReport(estimate=0.0, iterations=1, converged=True, residual=0.0)
     assert power_iteration(Z, np.ones(n)) == expected
     assert gram_power_iteration(Z) == expected
+
+
+# ---------------------------------------------------------------------------
+# symbol bound
+# ---------------------------------------------------------------------------
+
+def _symbol_sup(h):
+    """sup over [0, pi] of |1 + 2i h|, sampled: (max on 10^5 angles, refined max).
+
+    The coarse grid can fall short of the sup by 1e-10 relative.  The
+    refined max also samples 10^5 + 1 angles within one grid step of each
+    of the four largest sampled local maxima, which leaves it short by far
+    less than 1e-12.
+    """
+    theta = np.linspace(0.0, np.pi, 100_000)
+    f = np.hypot(1.0, 2.0 * h(theta))
+    step = theta[1]
+    inner = f[1:-1]
+    peaks = np.flatnonzero((inner >= f[:-2]) & (inner >= f[2:])) + 1
+    refined = f.max()
+    for i in peaks[np.argsort(f[peaks])[-4:]]:
+        near = np.linspace(theta[i] - step, theta[i] + step, 100_001)
+        refined = max(refined, np.hypot(1.0, 2.0 * h(near)).max())
+    return f.max(), refined
+
+
+def _default_lagged(nx, gamma_mode="frozen-midpoint"):
+    """The eigen command's matrix: lagged A from the default initial state."""
+    cfg = parse_eigen_config(f"nx = {nx}\ngamma_mode = {gamma_mode}")
+    u = cfg.initial_field()
+    A, _ = assemble_lagged(u, cfg.cn_config())
+    return A, u, cfg
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    c1=st.floats(min_value=-1e4, max_value=1e4),
+    c2=st.floats(min_value=-1e4, max_value=1e4),
+    n=st.integers(min_value=5, max_value=200),
+)
+def test_symbol_bound_is_a_tight_upper_bound(c1, c2, n):
+    P = skew_penta(-c1, c2, n)  # sup1 = c1, sup2 = c2
+    U = symbol_bound(P)
+    assert np.linalg.svd(P.to_dense(), compute_uv=False)[0] <= U
+    coarse, refined = _symbol_sup(lambda t: c1 * np.sin(t) + c2 * np.sin(2.0 * t))
+    assert coarse <= refined <= U
+    assert U - refined <= 1e-12 * refined
+
+
+def test_symbol_bound_of_the_identity_is_one():
+    assert symbol_bound(Pentadiagonal.identity(9)) == 1.0
+
+
+def test_symbol_bound_needs_constant_identity_plus_skew_bands():
+    A, u, cfg = _default_lagged(54, "row-varying")
+    assert symbol_bound(A) is None
+    A_implicit, _ = assemble_implicit(u, u, cfg.cn_config())
+    assert symbol_bound(A_implicit) is None
+    P = skew_penta(500.0, 250.0, 50)
+    symmetric = Pentadiagonal(P.sup2, P.sup1, P.diag, P.sup1, P.sup2)  # constant, not I + K
+    assert symbol_bound(symmetric) is None
+    for band in ("sup1", "sup2"):
+        bands = {name: getattr(P, name).copy() for name in ("sub2", "sub1", "diag", "sup1", "sup2")}
+        bands[band][7] += 1.0
+        bands["sub" + band[-1]] = -bands[band]
+        perturbed = Pentadiagonal(**bands)
+        assert skew_deviation(perturbed) == 0.0
+        assert symbol_bound(perturbed) is None
+
+
+@pytest.mark.parametrize("nx", [54, 4001])
+def test_gram_estimate_stays_below_symbol_bound(nx):
+    A, _, _ = _default_lagged(nx)
+    assert gram_power_iteration(A, max_iters=200).estimate <= symbol_bound(A)
+
+
+@pytest.mark.parametrize("nx", [54, 4001])
+def test_symbol_bound_matches_the_cn_symbol(nx):
+    # A's symbol is 1 + i g with g the CN amplification's, at u0 = u_mid
+    A, u, cfg = _default_lagged(nx)
+    u_mid = u.values[(u.grid.nx - 1) // 2]
+    params = cfg.scheme_params()
+    _, sup = _symbol_sup(lambda t: _cn_symbol_g(np.sin(t), np.sin(2.0 * t), params, u_mid) / 2.0)
+    U = symbol_bound(A)
+    assert sup <= U
+    assert U - sup <= 1e-12 * sup
 
 
 # ---------------------------------------------------------------------------

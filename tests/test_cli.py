@@ -242,6 +242,16 @@ def test_eigen_rejects_output_dir(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def test_eigen_rejects_scheme_and_paper_normalization(tmp_path, capsys):
+    # the probe always assembles the lagged matrix and never normalizes
+    assert main(["eigen", "--nx", "54", "--scheme", "cn-implicit"]) == 1
+    assert "unrecognized arguments: --scheme cn-implicit" in capsys.readouterr().err
+    cfg_file = tmp_path / "eigen.cfg"
+    cfg_file.write_text("nx = 54\npaper_normalization = on\n")
+    assert main(["eigen", "--config", str(cfg_file)]) == 1
+    assert "unknown key for the eigen command" in capsys.readouterr().err
+
+
 def test_unallocatable_grid_is_a_clean_error(tmp_path, capsys):
     # 10^15 doubles (7 PiB) exceed the address space: refused before any page is touched
     args = ["run", "--nx", "1000000000000000", "--output_dir", str(tmp_path / "out")]
@@ -310,7 +320,7 @@ def test_eigen_command_writes_to_redirected_stdout():
     with contextlib.redirect_stdout(buf):
         assert main(["eigen", "--nx=54", "--power_max_iters=50"]) == 0
     assert buf.getvalue().startswith("kdvlab eigen probe\n")
-    assert "gram_power_iteration: sigma_max = " in buf.getvalue()
+    assert "symbol_bound: sigma_max = " in buf.getvalue()
 
 
 # Reports of the nx 54 lagged matrices, pinned byte for byte.
@@ -319,8 +329,7 @@ EIGEN_GOLDEN = {
         "n = 50\n"
         "power_iteration: estimate = 1.0000000000000007 iterations = 1 converged = false"
         " residual = 0.0020131473962673877\n"
-        "gram_power_iteration: sigma_max = 1.0003024770720461 iterations = 500"
-        " converged = false residual = 0.00040087578656946524\n"
+        "symbol_bound: sigma_max = 1.000592072959066 kind = upper-bound\n"
         "certificate: method = identity-plus-skew certified = true\n"
         "certificate_detail: P = I + K with K^T = -K: eigenvalues 1 + i*mu, sigma_min >= 1\n"
     ),
