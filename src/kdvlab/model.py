@@ -150,7 +150,15 @@ class SchemeParams:
         if alpha <= 0 or beta <= 0:
             raise ValueError(f"alpha and beta must be positive, got {alpha}, {beta}")
         dx = math.sqrt(beta / alpha)
-        return cls(dx=dx, dt=beta * dx)
+        params = cls(dx=dx, dt=beta * dx)
+        try:
+            ok = all(math.isfinite(r) and r > 0 for r in (params.alpha, params.beta))
+        except (OverflowError, ZeroDivisionError):  # dx**3 overflowed or underflowed
+            ok = False
+        if not ok:
+            raise ValueError(f"alpha = {alpha!r}, beta = {beta!r} give dx = {dx!r}, "
+                             "whose mesh ratios are not finite and positive in doubles")
+        return params
 
 
 @dataclass(frozen=True)

@@ -43,12 +43,23 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _csv_template(grid: Grid1D) -> str:
+    """The ``x,u`` CSV of ``grid`` with each u value left as a ``%.17g`` slot.
+
+    ``template % tuple(u)`` then formats a whole field in one C-level pass.
+    printf ``%.17g`` gives the same digits as ``format(v, ".17g")``, and the
+    formatted x text never holds a ``%``, so the fill is exact.
+    """
+    return "x,u\n" + ("%.17g,%%.17g\n" * grid.nx) % tuple(grid.points().tolist())
+
+
+def _write_csv(path: Path, template: str, field: WaveField) -> None:
+    path.write_text(template % tuple(field.values.tolist()), encoding="utf-8")
+
+
 def write_field_csv(path: Path, field: WaveField) -> None:
     """Write one snapshot as ``x,u`` rows with lossless decimal values."""
-    x = field.grid.points()
-    lines = ["x,u"]
-    lines.extend(f"{_fmt(xi)},{_fmt(ui)}" for xi, ui in zip(x, field.values))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_csv(path, _csv_template(field.grid), field)
 
 
 def read_field_csv(path: Path, grid: Grid1D, time: float = 0.0) -> WaveField:
@@ -83,12 +94,19 @@ def read_field_csv(path: Path, grid: Grid1D, time: float = 0.0) -> WaveField:
 
 
 def write_run_outputs(out_dir: Path, echo_lines, result: RunResult) -> Tuple[list, Path]:
-    """Write per-snapshot CSVs and ``run.meta``; returns (csv paths, meta path)."""
+    """Write per-snapshot CSVs and ``run.meta``; returns (csv paths, meta path).
+
+    Any other ``snapshot_t*.csv`` already in ``out_dir`` is deleted, so the
+    directory's snapshots are exactly those that ``run.meta`` lists.
+    """
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = []
+    templates = {}  # per call: the snapshots of one run share a grid
     for snap in result.snapshots:
+        if snap.grid not in templates:
+            templates[snap.grid] = _csv_template(snap.grid)
         path = out_dir / snapshot_filename(snap.time)
-        write_field_csv(path, snap)
+        _write_csv(path, templates[snap.grid], snap)
         paths.append(path)
 
     meta = ["# kdvlab run metadata"]
@@ -106,4 +124,8 @@ def write_run_outputs(out_dir: Path, echo_lines, result: RunResult) -> Tuple[lis
         )
     meta_path = out_dir / "run.meta"
     meta_path.write_text("\n".join(meta) + "\n", encoding="utf-8")
+    listed = {path.name for path in paths}
+    for stale in out_dir.glob("snapshot_t*.csv"):
+        if stale.name not in listed:
+            stale.unlink()
     return paths, meta_path

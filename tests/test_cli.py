@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from kdvlab.banded import Pentadiagonal
 from kdvlab.cli import cmd_eigen, eigen_report_text, main
@@ -17,8 +19,15 @@ from kdvlab.config import (
 )
 from kdvlab.crank_nicolson import assemble_lagged
 from kdvlab.errors import ConfigError
+from kdvlab.evolution import RunResult, SnapshotDiagnostics
 from kdvlab.model import Grid1D, WaveField
-from kdvlab.runio import read_field_csv, snapshot_filename, time_label, write_field_csv
+from kdvlab.runio import (
+    read_field_csv,
+    snapshot_filename,
+    time_label,
+    write_field_csv,
+    write_run_outputs,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -108,6 +117,50 @@ def test_field_csv_round_trips_exactly(tmp_path):
     write_field_csv(path, f)
     back = read_field_csv(path, g)
     assert np.array_equal(back.values, f.values)
+
+
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=7, max_size=40))
+@example([-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1.7976931348623157e308, 0.1])
+def test_field_csv_round_trip_is_bit_exact(tmp_path_factory, values):
+    g = Grid1D(-1.0, 1.0, len(values))
+    path = tmp_path_factory.mktemp("csv") / "field.csv"
+    write_field_csv(path, WaveField(g, 0.0, values))
+    back = read_field_csv(path, g)
+    assert back.values.view(np.uint64).tolist() == np.array(values).view(np.uint64).tolist()
+
+
+SPECIAL_VALUES = (-0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+                  0.1, 1e16, 1e-5)
+
+
+def reference_csv(field):
+    """The snapshot format spelled out: one ``format(v, ".17g")`` per value."""
+    rows = zip(field.grid.points().tolist(), field.values.tolist())
+    return "x,u\n" + "".join(f"{format(x, '.17g')},{format(u, '.17g')}\n" for x, u in rows)
+
+
+@pytest.mark.parametrize("grid", [Grid1D(-20.0, 20.0, 41), Grid1D(-1e300, 3e-7, 41)])
+def test_snapshot_csv_bytes_match_per_value_format(tmp_path, grid):
+    rng = np.random.default_rng(7)
+    specials = list(SPECIAL_VALUES) + [-v for v in SPECIAL_VALUES]
+    fields = [
+        WaveField(grid, t, np.concatenate([specials, rng.standard_normal(grid.nx - 14)]))
+        for t in (0.0, 0.25, 0.5)
+    ]
+    fields[1] = WaveField(grid, 0.25, fields[1].values[::-1])
+    write_field_csv(tmp_path / "one.csv", fields[0])
+    assert (tmp_path / "one.csv").read_bytes() == reference_csv(fields[0]).encode()
+    result = RunResult(
+        requested_times=(0.0, 0.25, 0.5),
+        snapshots=fields,
+        # mass of these values overflows; the meta lines are not under test here
+        diagnostics=[SnapshotDiagnostics(f.time, 0.0, 0.0, 0.0) for f in fields],
+        outcome="completed",
+    )
+    paths, _ = write_run_outputs(tmp_path / "run", [], result)
+    assert len(paths) == 3
+    for path, field in zip(paths, fields):
+        assert path.read_bytes() == reference_csv(field).encode()
 
 
 def test_field_csv_validates_grid(tmp_path):
@@ -271,6 +324,16 @@ def test_run_outputs_byte_identical(tmp_path):
         assert left == right
 
 
+def test_rerun_removes_snapshots_the_new_meta_does_not_list(tmp_path):
+    out = tmp_path / "out"
+    assert main(small_run_args(tmp_path, t_end="1", snapshot_times="0.5,1")) == 0
+    (out / "notes.txt").write_text("kept")
+    assert main(small_run_args(tmp_path, t_end="1", snapshot_times="0.25")) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["notes.txt", "run.meta",
+                                                     "snapshot_t0.25.csv"]
+    assert "snapshot_count = 1" in (out / "run.meta").read_text()
+
+
 # ---------------------------------------------------------------------------
 # scan command
 # ---------------------------------------------------------------------------
@@ -289,6 +352,14 @@ def test_scan_command_cn_grid(tmp_path):
 def test_scan_command_empty_grid(tmp_path):
     assert main(["scan", "--alpha_list", "", "--output_dir", str(tmp_path)]) == 0
     assert (tmp_path / "scan.csv").read_text() == "alpha,beta,u0,max_abs_lambda\n"
+
+
+@pytest.mark.parametrize("alpha", ["1e250", "1e-300"])  # dx**3 underflows / overflows
+def test_scan_rejects_unrepresentable_mesh_ratios(tmp_path, capsys, alpha):
+    args = ["scan", "--alpha_list", alpha, "--beta_list", "1", "--output_dir", str(tmp_path)]
+    assert main(args) == 1
+    assert capsys.readouterr().err.startswith("kdvlab scan: error: alpha = ")
+    assert not (tmp_path / "scan.csv").exists()
 
 
 def test_scan_command_explicit_reference_row(tmp_path):
