@@ -251,7 +251,7 @@ def reference_solve_banded(P: Pentadiagonal, b) -> np.ndarray:
     ab = _working_band(P)
     rhs = b.copy()
     x = np.empty_like(rhs)
-    fail_row = _lu_solve_kernel(ab, rhs, x, PIVOT_RTOL * np.max(np.abs(ab)))
+    fail_row = _lu_solve_kernel(ab, rhs, x, PIVOT_RTOL * np.max(np.abs(P.bands)))
     if fail_row >= 0:
         raise _singular(int(fail_row))
     return x
@@ -294,6 +294,7 @@ def _lapack_solver(library: str):
                        array, array, p_int, p_int, ctypes.c_size_t]
     dgbtrs.restype = None
     kl, ku, ldab, nrhs = c_int(_KL), c_int(_KU), c_int(_LDAB), c_int(1)
+    ipiv_dtype = np.dtype(c_int)
 
     def solve(P: Pentadiagonal, b) -> np.ndarray:
         # x, ab and ipiv are fresh C-contiguous arrays of the declared types,
@@ -301,18 +302,18 @@ def _lapack_solver(library: str):
         x = np.array(_check_rhs(P, b))
         n = c_int(P.n)
         ab = _working_band(P)
-        pivot_floor = PIVOT_RTOL * np.max(np.abs(ab))
-        ipiv = np.empty(P.n, dtype=c_int)
+        ipiv = np.empty(P.n, dtype=ipiv_dtype)
+        ab_p, ipiv_p = ab.ctypes.data, ipiv.ctypes.data  # each .ctypes builds an object
         info = c_int(0)
-        dgbtrf(n, n, kl, ku, ab.ctypes.data, ldab, ipiv.ctypes.data, info)
+        dgbtrf(n, n, kl, ku, ab_p, ldab, ipiv_p, info)
         if info.value < 0:
             raise ValueError(f"dgbtrf rejected argument {-info.value}")
-        # LAPACK flags only exact zero pivots; apply the kernel's floor to U
-        below = np.flatnonzero(np.abs(ab[:, 4]) <= pivot_floor)
-        if below.size:
-            raise _singular(int(below[0]))
-        dgbtrs(b"N", n, kl, ku, nrhs, ab.ctypes.data, ldab, ipiv.ctypes.data,
-               x.ctypes.data, n, info, 1)
+        # LAPACK flags only exact zero pivots; apply the kernel's floor to U.
+        # fmin skips NaN, so the test fails exactly when some |U_kk| <= floor.
+        pivots, floor = np.abs(ab[:, 4]), PIVOT_RTOL * np.max(np.abs(P.bands))
+        if np.fmin.reduce(pivots) <= floor:
+            raise _singular(int(np.flatnonzero(pivots <= floor)[0]))
+        dgbtrs(b"N", n, kl, ku, nrhs, ab_p, ldab, ipiv_p, x.ctypes.data, n, info, 1)
         if info.value < 0:
             raise ValueError(f"dgbtrs rejected argument {-info.value}")
         return x

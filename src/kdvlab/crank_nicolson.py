@@ -27,7 +27,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from .banded import Pentadiagonal, matvec, solve_banded
+from .banded import Pentadiagonal, solve_banded
 from .errors import BlowUpError, FixedPointError
 from .evolution import RunResult, evolve
 from .model import SchemeParams, TimeGrid, WaveField
@@ -99,22 +99,51 @@ class CnConfig:
             raise ValueError(f"max_amplitude must be positive, got {self.max_amplitude}")
 
 
-def _interior_dim(u: WaveField) -> int:
-    n = u.grid.nx - 4
-    if n < 5:
-        raise ValueError(
-            f"grid too small for the implicit interior system: nx={u.grid.nx} "
-            "gives fewer than 5 unknowns"
-        )
-    return n
+def _quarter(u: WaveField, cfg: CnConfig) -> np.ndarray:
+    """The alpha/4 band for the nx - 4 interior unknowns, which must number at least 5."""
+    if u.grid.nx < 9:
+        raise ValueError(f"grid too small for the implicit interior system: nx={u.grid.nx} "
+                         "gives fewer than 5 unknowns")
+    return np.full(u.grid.nx - 6, cfg.params.alpha / 4.0)
 
 
-def _gamma_coefficients(u: WaveField, cfg: CnConfig) -> np.ndarray:
-    """Per-row advective coefficient values on the interior."""
+def _weight(coef: np.ndarray, cfg: CnConfig) -> np.ndarray:
+    """Advective row weight alpha/2 + (3 beta/8) coef: gamma (lagged) or zeta (implicit)."""
+    return cfg.params.alpha / 2.0 + (3.0 * cfg.params.beta / 8.0) * coef
+
+
+def _lagged(u: WaveField, cfg: CnConfig) -> Tuple[np.ndarray, np.ndarray]:
+    """(gamma, alpha/4 band) of the lagged scheme, gamma per row or frozen."""
+    quarter = _quarter(u, cfg)
     if cfg.gamma_mode is GammaMode.FROZEN_MIDPOINT:
-        mid = u.values[(u.grid.nx - 1) // 2]
-        return np.full(u.grid.nx - 4, mid)
-    return u.values[2:-2].copy()
+        return _weight(np.full(u.grid.nx - 4, u.values[(u.grid.nx - 1) // 2]), cfg), quarter
+    return _weight(u.values[2:-2], cfg), quarter
+
+
+def _eta(u_n: WaveField, cfg: CnConfig) -> np.ndarray:
+    """Implicit diagonal eta_i = 1 + (3 beta/8)(u_{i+1} - u_{i-1}) at the known level."""
+    return 1.0 + (3.0 * cfg.params.beta / 8.0) * (u_n.values[3:-1] - u_n.values[1:-3])
+
+
+def _lhs(weight: np.ndarray, diag: np.ndarray, quarter: np.ndarray) -> Pentadiagonal:
+    """Row i has bands (-quarter, +weight_i, diag_i, -weight_i, +quarter)."""
+    return Pentadiagonal(-quarter, weight[1:], diag, -weight[:-1], quarter)
+
+
+def _rhs(x: np.ndarray, weight: np.ndarray, quarter: np.ndarray) -> np.ndarray:
+    """B x for B = 2I - _lhs(weight, 1, quarter), bitwise ``matvec(B, x)``; B is never built.
+
+    Overflow is a blow-up, raised before any solve sees it.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = x.copy()
+        y[1:] -= weight[1:] * x[:-1]
+        y[2:] += quarter * x[:-2]
+        y[:-1] += weight[:-1] * x[1:]
+        y[:-2] -= quarter * x[2:]
+    if not np.isfinite(y).all():
+        raise BlowUpError("right-hand side B u overflowed", max_value=float("inf"))
+    return y
 
 
 def assemble_lagged(u_n: WaveField, cfg: CnConfig) -> Tuple[Pentadiagonal, Pentadiagonal]:
@@ -123,30 +152,11 @@ def assemble_lagged(u_n: WaveField, cfg: CnConfig) -> Tuple[Pentadiagonal, Penta
     Row i of A has bands (-alpha/4, +gamma_i, 1, -gamma_i, +alpha/4)
     with gamma_i = alpha/2 + (3 beta/8) coef_i; B negates the
     off-diagonal bands.  With a frozen coefficient both matrices are
-    identity-plus-skew.
+    identity-plus-skew.  The step itself builds only A.
     """
-    n = _interior_dim(u_n)
-    alpha = cfg.params.alpha
-    beta = cfg.params.beta
-    gamma = alpha / 2.0 + (3.0 * beta / 8.0) * _gamma_coefficients(u_n, cfg)
-
-    a_quarter = np.full(n - 2, alpha / 4.0)
-    ones = np.ones(n)
-    A = Pentadiagonal(
-        sub2=-a_quarter,
-        sub1=gamma[1:],
-        diag=ones,
-        sup1=-gamma[:-1],
-        sup2=a_quarter,
-    )
-    B = Pentadiagonal(
-        sub2=a_quarter,
-        sub1=-gamma[1:],
-        diag=ones,
-        sup1=gamma[:-1],
-        sup2=-a_quarter,
-    )
-    return A, B
+    gamma, quarter = _lagged(u_n, cfg)
+    ones = np.ones(gamma.size)
+    return _lhs(gamma, ones, quarter), _lhs(-gamma, ones, -quarter)
 
 
 def assemble_implicit(
@@ -161,30 +171,10 @@ def assemble_implicit(
     """
     if u_guess.grid != u_n.grid:
         raise ValueError("u_guess must live on the same grid as u_n")
-    n = _interior_dim(u_n)
-    alpha = cfg.params.alpha
-    beta = cfg.params.beta
-    v = u_n.values
-    zeta = alpha / 2.0 + (3.0 * beta / 8.0) * u_guess.values[2:-2]
-    eta = 1.0 + (3.0 * beta / 8.0) * (v[3:-1] - v[1:-3])
-
-    a_quarter = np.full(n - 2, alpha / 4.0)
-    a_half = np.full(n - 1, alpha / 2.0)
-    A = Pentadiagonal(
-        sub2=-a_quarter,
-        sub1=zeta[1:],
-        diag=eta,
-        sup1=-zeta[:-1],
-        sup2=a_quarter,
-    )
-    B = Pentadiagonal(
-        sub2=a_quarter,
-        sub1=-a_half,
-        diag=np.ones(n),
-        sup1=a_half,
-        sup2=-a_quarter,
-    )
-    return A, B
+    quarter = _quarter(u_n, cfg)
+    A = _lhs(_weight(u_guess.values[2:-2], cfg), _eta(u_n, cfg), quarter)
+    half = _weight(np.zeros(A.n), cfg)  # B is the lagged B at u = 0
+    return A, _lhs(-half, np.ones(A.n), -quarter)
 
 
 def _finish_step(u_n: WaveField, interior: np.ndarray, cfg: CnConfig) -> WaveField:
@@ -206,39 +196,33 @@ def _finish_step(u_n: WaveField, interior: np.ndarray, cfg: CnConfig) -> WaveFie
 
 
 def cn_step_lagged(u_n: WaveField, cfg: CnConfig) -> WaveField:
-    """One lagged-coefficient step: assemble, solve A x = B u, re-pin boundaries."""
-    A, B = assemble_lagged(u_n, cfg)
-    rhs = matvec(B, u_n.values[2:-2])
-    interior = solve_banded(A, rhs)
+    """One lagged-coefficient step: solve A x = B u (only A is built), re-pin boundaries."""
+    gamma, quarter = _lagged(u_n, cfg)
+    rhs = _rhs(u_n.values[2:-2], gamma, quarter)
+    interior = solve_banded(_lhs(gamma, np.ones(gamma.size), quarter), rhs)
     return _finish_step(u_n, interior, cfg)
 
 
 def cn_step_implicit(u_n: WaveField, cfg: CnConfig) -> Tuple[WaveField, int]:
     """One implicit-coefficient step resolved by Picard iteration.
 
-    Starts the coefficient guess at the known level, then repeatedly
-    assembles and solves until the interior iterate changes by less than
-    ``picard_tol`` in the sup norm.  Returns the converged field and the
-    number of solves performed.
+    Starts the coefficient guess at the known level, then re-fills zeta
+    from each iterate and re-solves (B u and eta are formed once) until
+    the iterate changes by less than ``picard_tol`` in the sup norm.
+    Returns the converged field and the number of solves performed.
     """
-    interior_n = u_n.values[2:-2]
-    guess = u_n
-    prev = interior_n.copy()
+    quarter = _quarter(u_n, cfg)
+    guess = u_n.values[2:-2]
+    rhs = _rhs(guess, _weight(np.zeros(guess.size), cfg), quarter)  # B at u = 0
+    eta = _eta(u_n, cfg)
     for iteration in range(1, cfg.picard_max_iters + 1):
-        A, B = assemble_implicit(u_n, guess, cfg)
-        rhs = matvec(B, interior_n)
-        interior = solve_banded(A, rhs)
-        change = float(np.max(np.abs(interior - prev)))
+        interior = solve_banded(_lhs(_weight(guess, cfg), eta, quarter), rhs)
+        change = float(np.max(np.abs(interior - guess)))
         if not np.isfinite(change):
-            raise BlowUpError(
-                "Picard iterate became non-finite", max_value=float("inf")
-            )
+            raise BlowUpError("Picard iterate became non-finite", max_value=float("inf"))
         if change < cfg.picard_tol:
             return _finish_step(u_n, interior, cfg), iteration
-        prev = interior
-        full = np.zeros(u_n.grid.nx)
-        full[2:-2] = interior
-        guess = WaveField(u_n.grid, u_n.time, full)
+        guess = interior
     raise FixedPointError(
         f"Picard iteration did not reach {cfg.picard_tol:g} within "
         f"{cfg.picard_max_iters} iterations (last change {change:g})",
@@ -247,12 +231,11 @@ def cn_step_implicit(u_n: WaveField, cfg: CnConfig) -> Tuple[WaveField, int]:
     )
 
 
-def cn_step(u_n: WaveField, cfg: CnConfig) -> WaveField:
-    """Dispatch one step on ``cfg.linearization`` (drops the Picard count)."""
+def cn_step(u_n: WaveField, cfg: CnConfig) -> Tuple[WaveField, int]:
+    """Dispatch one step on ``cfg.linearization``: (field, solves), 1 solve if lagged."""
     if cfg.linearization is LinearizationKind.IMPLICIT_COEFFICIENT:
-        field, _ = cn_step_implicit(u_n, cfg)
-        return field
-    return cn_step_lagged(u_n, cfg)
+        return cn_step_implicit(u_n, cfg)
+    return cn_step_lagged(u_n, cfg), 1
 
 
 def run_cn(
@@ -261,5 +244,15 @@ def run_cn(
     time: TimeGrid,
     snapshot_times: Sequence[float],
 ) -> RunResult:
-    """Time-march the configured Crank-Nicolson scheme, recording snapshots."""
-    return evolve(ic, time, snapshot_times, lambda state: cn_step(state, cfg))
+    """Time-march the configured scheme, recording snapshots (and Picard solves if implicit)."""
+    solves = []
+
+    def step(state: WaveField) -> WaveField:
+        field, count = cn_step(state, cfg)
+        solves.append(count)
+        return field
+
+    result = evolve(ic, time, snapshot_times, step)
+    if cfg.linearization is LinearizationKind.IMPLICIT_COEFFICIENT:
+        result.picard_solves = tuple(solves)
+    return result

@@ -61,6 +61,7 @@ class RunResult:
     ``outcome`` is ``"completed"`` or ``"blow-up"``; a blow-up carries
     the offending step index and whatever snapshots were recorded before
     it.  On completion the snapshot count equals the requested count.
+    ``picard_solves``: an implicit run's Picard solves per completed step.
     """
 
     requested_times: tuple
@@ -68,6 +69,7 @@ class RunResult:
     diagnostics: list
     outcome: str
     blow_up_step: Optional[int] = None
+    picard_solves: tuple = ()
 
     @property
     def completed(self) -> bool:
@@ -104,16 +106,18 @@ def evolve(
     diagnostics: list = []
     pending = list(requested)
 
-    def record_due(state: WaveField) -> None:
+    def record_due(state: WaveField, t: float) -> None:
         # Tiny slack so a final step landing an ulp short of its nominal
         # time still satisfies a request at that time.
-        while pending and state.time >= pending[0] - 1e-12 * (1.0 + abs(pending[0])):
+        while pending and t >= pending[0] - 1e-12 * (1.0 + abs(pending[0])):
+            if state.time != t:  # label with n*dt: summing t + dt drifts by ulps
+                state = WaveField(state.grid, t, state.values)
             snapshots.append(state)
             diagnostics.append(SnapshotDiagnostics.of(state))
             pending.pop(0)
 
     state = ic
-    record_due(state)
+    record_due(state, ic.time)
     for n in range(1, time.nt):
         if not pending:
             break
@@ -133,10 +137,7 @@ def evolve(
             raise FixedPointError(
                 f"step {n}: {exc}", residual=exc.residual, iterations=exc.iterations
             ) from exc
-        # Re-time from n*dt: accumulating t + dt drifts by an ulp per step
-        # and would corrupt snapshot labels.
-        state = WaveField(state.grid, ic.time + n * time.dt, state.values)
-        record_due(state)
+        record_due(state, ic.time + n * time.dt)
     return RunResult(
         requested_times=requested,
         snapshots=snapshots,

@@ -297,5 +297,6 @@ def pde_residual(u, x_samples, t: float, oracle_step: float = 1e-3) -> float:
 
 
 def mass(field: WaveField) -> float:
-    """Trapezoidal approximation of the integral of u over the grid."""
-    return float(np.trapezoid(field.values, field.grid.points()))
+    """Trapezoidal approximation of the integral of u; inf, unwarned, if it overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.trapezoid(field.values, field.grid.points()))

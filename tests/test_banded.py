@@ -306,6 +306,46 @@ def test_solve_agrees_with_reference_kernel_when_pivoting():
         assert np.max(np.abs(x - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(5, 200), seed=st.integers(0, 2**32 - 1))
+def test_pivoting_solves_agree_with_both_references(n, seed):
+    rng = np.random.default_rng(seed)
+    P = pivoting_penta(rng, n)
+    assert abs(P.sub1[0]) > abs(P.diag[0])  # the first column already swaps rows
+    b = rng.standard_normal(n)
+    x = solve_banded(P, b)
+    for expected in (reference_solve_banded(P, b), dense_reference_solve(P.to_dense(), b)):
+        assert np.max(np.abs(x - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n=st.integers(5, 200),
+    seed=st.integers(0, 2**32 - 1),
+    where=st.floats(0.0, 1.0),
+    scale=st.sampled_from([0.0, 1e-300, 0.5, 1.0]),
+    sign=st.sampled_from([-1.0, 1.0]),
+)
+def test_planted_sub_floor_pivot_fails_at_its_row_on_both_paths(n, seed, where, scale, sign):
+    # Decouple rows and columns >= r from those < r and clear column r below
+    # the diagonal: elimination then meets column r with the planted pivot
+    # alone, |pivot| = scale * PIVOT_RTOL * max|P| <= the floor.
+    rng = np.random.default_rng(seed)
+    r = min(int(where * n), n - 1)
+    dense = pivoting_penta(rng, n).to_dense()
+    dense[:r, r:] = dense[r:, :r] = 0.0
+    dense[r + 1:, r] = dense[r, r + 1:] = 0.0
+    dense[r, r] = 0.0
+    dense[r, r] = sign * scale * banded.PIVOT_RTOL * np.max(np.abs(dense))
+    P = Pentadiagonal.from_dense(dense)
+    rows = []
+    for solve in SOLVERS.values():
+        with pytest.raises(SingularMatrixError) as err:
+            solve(P, rng.standard_normal(n))
+        rows.append(err.value.row)
+    assert rows == [r, r]
+
+
 def test_band_lu_resolution_falls_back_when_library_is_missing(tmp_path):
     assert banded._lapack_solver(str(tmp_path / "no-such-lapack.so")) is None
 

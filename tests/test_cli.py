@@ -493,3 +493,42 @@ def test_converge_command_zero_ic_flags_undefined(tmp_path):
     errs = [line.split(",")[2] for line in lines[1:3]]
     assert all(float(e) == 0.0 for e in errs)
     assert "undefined" in (tmp_path / "converge.meta").read_text()
+
+
+def _huge_ic(tmp_path):
+    """Every u = 1e307 on the default x range at nx 201: finite, but B u overflows."""
+    g = Grid1D(-20.0, 20.0, 201)
+    path = tmp_path / "big.csv"
+    write_field_csv(path, WaveField(g, 0.0, np.full(201, 1e307)))
+    return f"file {path}"
+
+
+# cn-implicit's B has only alpha-sized bands, so its overflow needs alpha =
+# dt/dx^3 > 36 (dt 0.5, alpha 62.5); at dt 0.01 its B u is finite, and its A
+# (zeta ~ 1e305 around a unit diagonal, odd order 197) is numerically singular.
+@pytest.mark.parametrize("scheme, dt", [("cn-lagged", "0.01"), ("cn-implicit", "0.5"),
+                                        ("explicit", "0.01")])
+@pytest.mark.parametrize("times, recorded", [(None, 0), ("0,1", 1)])
+def test_overflowing_right_hand_side_is_a_blow_up_at_step_one(tmp_path, capsys, scheme, dt,
+                                                              times, recorded):
+    args = ["run", "--scheme", scheme, "--nx", "201", "--dt", dt, "--ic", _huge_ic(tmp_path),
+            "--output_dir", str(tmp_path / "out")]
+    if times is not None:
+        args += ["--snapshot_times", times]
+    assert main(args) == 2
+    assert capsys.readouterr().err == ""
+    meta = (tmp_path / "out" / "run.meta").read_text()
+    assert "outcome = blow-up\nblow_up_step = 1\n" in meta
+    assert f"snapshot_count = {recorded}\n" in meta
+    assert (" mass = inf " in meta) == bool(recorded)
+
+
+def test_overflowing_mass_of_a_recorded_initial_field(tmp_path, capsys):
+    out = tmp_path / "out"
+    args = ["run", "--nx", "201", "--dt", "0.01", "--ic", _huge_ic(tmp_path),
+            "--snapshot_times", "0", "--output_dir", str(out)]
+    assert main(args) == 0
+    assert capsys.readouterr().err == ""
+    meta = (out / "run.meta").read_text()
+    assert "outcome = completed\n" in meta
+    assert "snapshot t = 0 file = snapshot_t0.csv mass = inf max_abs = 9.9999999999999999e+306" in meta

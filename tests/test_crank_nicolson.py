@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from kdvlab.banded import dense_reference_solve, matvec, skew_deviation
+from kdvlab import crank_nicolson
+from kdvlab.banded import dense_reference_solve, matvec, skew_deviation, solve_banded
 from kdvlab.crank_nicolson import (
     EIGEN_PROBE_PARAMS,
     CnConfig,
@@ -16,6 +19,7 @@ from kdvlab.crank_nicolson import (
     run_cn,
 )
 from kdvlab.errors import FixedPointError
+from kdvlab.explicit import ExplicitConfig, run_explicit
 from kdvlab.model import (
     Grid1D,
     SchemeParams,
@@ -264,3 +268,134 @@ def test_mass_drift_shrinks_under_refinement():
     coarse = drift(0.05, 0.005)
     fine = drift(0.025, 0.0025)
     assert fine < coarse
+
+
+# ---------------------------------------------------------------------------
+# step path: equal to the public assemblies, built once per step
+# ---------------------------------------------------------------------------
+
+def _interiors():
+    """Zero, soliton and random fields at n = 50 and n = 1,000 interior unknowns."""
+    rng = np.random.default_rng(47)
+    for nx in (54, 1004):
+        g = Grid1D(-20.0, 20.0, nx)
+        random = np.zeros(nx)
+        random[2:-2] = 0.3 * rng.standard_normal(nx - 4)
+        yield "zero", np.zeros(nx), g
+        yield "soliton", traveling_wave(g, 0.5, 0.0).values, g
+        yield "random", random, g
+
+
+def _pinned(u_n, interior):
+    full = np.zeros(u_n.grid.nx)
+    full[2:-2] = interior
+    return full
+
+
+def _composed_lagged(u_n, cfg):
+    """The lagged step as the public assembly, matvec and solve compose it."""
+    A, B = assemble_lagged(u_n, cfg)
+    return _pinned(u_n, solve_banded(A, matvec(B, u_n.values[2:-2])))
+
+
+def _composed_implicit(u_n, cfg):
+    """The Picard loop over assemble_implicit, B u re-formed every iterate."""
+    prev = u_n.values[2:-2]
+    guess = u_n
+    for iteration in range(1, cfg.picard_max_iters + 1):
+        A, B = assemble_implicit(u_n, guess, cfg)
+        interior = solve_banded(A, matvec(B, u_n.values[2:-2]))
+        if np.max(np.abs(interior - prev)) < cfg.picard_tol:
+            return _pinned(u_n, interior), iteration
+        prev = interior
+        guess = WaveField(u_n.grid, u_n.time, _pinned(u_n, interior))
+    raise AssertionError("reference Picard loop did not converge")
+
+
+@pytest.mark.parametrize("mode", list(GammaMode))
+def test_lagged_step_is_bitwise_the_composed_assembly(mode):
+    for name, values, g in _interiors():
+        f = WaveField(g, 0.0, values)
+        cfg = lagged_cfg(SchemeParams(dx=g.dx, dt=0.01), mode)
+        assert np.array_equal(cn_step_lagged(f, cfg).values, _composed_lagged(f, cfg)), name
+
+
+def test_implicit_step_is_bitwise_the_composed_assembly():
+    for name, values, g in _interiors():
+        f = WaveField(g, 0.0, values)
+        cfg = implicit_cfg(SchemeParams(dx=g.dx, dt=1e-3))
+        out, solves = cn_step_implicit(f, cfg)
+        expected, iterations = _composed_implicit(f, cfg)
+        assert np.array_equal(out.values, expected), name
+        assert solves == iterations, name
+
+
+def _count(monkeypatch, module, name):
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_lagged_step_builds_one_matrix(monkeypatch):
+    g = Grid1D(-20.0, 20.0, 201)
+    built = _count(monkeypatch, crank_nicolson, "Pentadiagonal")
+    cn_step_lagged(traveling_wave(g, 0.5, 0.0), lagged_cfg(SchemeParams(dx=g.dx, dt=0.01)))
+    assert len(built) == 1
+
+
+def test_implicit_step_forms_b_u_once(monkeypatch):
+    g = Grid1D(-10.0, 10.0, 201)
+    products = _count(monkeypatch, crank_nicolson, "_rhs")
+    built = _count(monkeypatch, crank_nicolson, "Pentadiagonal")
+    _, solves = cn_step_implicit(traveling_wave(g, 0.5, 0.0),
+                                 implicit_cfg(SchemeParams(dx=g.dx, dt=1e-2)))
+    assert solves == 4  # the frozen count of test_implicit_iteration_count_non_increasing_in_dt
+    assert len(products) == 1
+    assert len(built) == solves  # one A per iterate, no B
+
+
+def test_run_records_each_steps_picard_solves():
+    g = Grid1D(-10.0, 10.0, 201)
+    ic = traveling_wave(g, 0.5, 0.0)
+    cfg = implicit_cfg(SchemeParams(dx=g.dx, dt=0.01))
+    res = run_cn(ic, cfg, TimeGrid(0.1, 0.01), [0.1])
+    state, expected = ic, []
+    for _ in range(10):
+        state, solves = cn_step_implicit(state, cfg)
+        expected.append(solves)
+    assert res.picard_solves == tuple(expected)
+    assert np.array_equal(res.snapshots[-1].values, state.values)
+
+
+def test_picard_solves_are_empty_for_the_other_schemes():
+    g = Grid1D(-10.0, 10.0, 201)
+    ic = traveling_wave(g, 0.5, 0.0)
+    params = SchemeParams(dx=g.dx, dt=0.01)
+    assert run_cn(ic, lagged_cfg(params), TimeGrid(0.1, 0.01), [0.1]).picard_solves == ()
+    explicit = run_explicit(ic, ExplicitConfig(params), TimeGrid(0.1, 0.01), [0.1])
+    assert explicit.picard_solves == ()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    nx=st.integers(9, 400),
+    dt=st.floats(1e-4, 1e-1),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_frozen_midpoint_steps_conserve_l2(nx, dt, seed):
+    # each frozen step is a Cayley transform (I + K)^-1 (I - K), K skew
+    g = Grid1D(-20.0, 20.0, nx)
+    values = np.zeros(nx)
+    values[2:-2] = np.random.default_rng(seed).uniform(-1.0, 1.0, nx - 4)
+    state = WaveField(g, 0.0, values)
+    cfg = lagged_cfg(SchemeParams(dx=g.dx, dt=dt), GammaMode.FROZEN_MIDPOINT)
+    l2 = np.sum(values**2)
+    for _ in range(30):
+        state = cn_step_lagged(state, cfg)
+    assert abs(np.sum(state.values**2) - l2) <= 1e-12 * l2

@@ -245,3 +245,9 @@ def test_mass_is_linear():
     a, b = 2.5, -1.25
     combo = WaveField(g, 0.0, a * u.values + b * w.values)
     assert mass(combo) == pytest.approx(a * mass(u) + b * mass(w), abs=1e-12)
+
+
+def test_mass_that_overflows_is_inf_without_a_warning():
+    # the field is finite; only its integral leaves the double range
+    g = Grid1D(-20.0, 20.0, 201)
+    assert mass(WaveField(g, 0.0, np.full(201, 1e307))) == math.inf
