@@ -16,6 +16,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable, Sequence
 
 import numpy as np
@@ -132,6 +133,18 @@ def explicit_amplification(theta: float, params: SchemeParams, u0: float) -> Amp
 SCHEME_CN = "cn"
 SCHEME_EXPLICIT = "explicit"
 
+# The explicit scan takes math.hypot only where a row's maximum can land.
+# Let eps = 2**-52.  math.hypot (Python >= 3.10) is within 1 ulp of
+# |lambda|, a factor 1 +- eps.  The estimate 1 + g*g of |lambda|**2, a
+# rounded square and a rounded sum, is within a factor (1 +- eps/2)**2 of
+# it.  Where the exact maximum lands the estimate is then above
+# ((1 - eps/2)(1 - eps) / ((1 + eps/2)(1 + eps)))**2 > 1 - 6 eps times the
+# row's largest estimate, while the cut-off, that largest estimate times
+# 1 - 8 eps rounded to nearest, is below 1 - 7.5 eps times it: no theta that
+# can hold the exact maximum is dropped.  Crank-Nicolson's |lambda| is 1 to
+# within a few ulps at every theta, so that scan keeps them all.
+_NEAR_TOP = 1.0 - 8.0 * 2.0**-52
+
 
 @dataclass(frozen=True)
 class ScanRow:
@@ -159,18 +172,32 @@ def stability_scan(
     # max of their magnitudes bit for bit (np.hypot can differ in the last bit)
     sin1 = np.array([math.sin(t) for t in thetas])
     sin2 = np.array([math.sin(2.0 * t) for t in thetas])
+    if not thetas:
+        return [ScanRow(params=p, u0=float(u0), max_magnitude=0.0)
+                for p in params_list for u0 in u0_list]
+    # one (u0, theta) block per params: the symbol helpers broadcast a u0
+    # column against the theta row, element by element the scalar arithmetic
+    u0_column = np.array(u0_list, dtype=float).reshape(-1, 1)
     rows = []
     # overflow to inf and nan passes silently, as in the scalar factors' float arithmetic
     with np.errstate(over="ignore", invalid="ignore"):
         for params in params_list:
-            for u0 in u0_list:
-                if scheme == SCHEME_CN:
-                    re, im = _cn_lambda(_cn_symbol_g(sin1, sin2, params, u0))
-                else:
-                    im = _explicit_symbol_g(sin1, sin2, params, u0)
-                    re = np.ones_like(im)
-                worst = max(map(math.hypot, re.tolist(), im.tolist()), default=0.0)
-                rows.append(ScanRow(params=params, u0=float(u0), max_magnitude=worst))
+            if scheme == SCHEME_CN:
+                re, im = _cn_lambda(_cn_symbol_g(sin1, sin2, params, u0_column))
+                worst = [max(map(math.hypot, re[i].tolist(), im[i].tolist()))
+                         for i in range(len(u0_list))]
+            else:
+                g = _explicit_symbol_g(sin1, sin2, params, u0_column)
+                square = 1.0 + g * g
+                top = square.max(axis=1)  # nan or inf iff some square in the row is
+                near = square >= (top * _NEAR_TOP)[:, None]
+                # a row with nan or inf keeps every theta in order, so
+                # Python's max meets nan as the scalar factors' max does
+                worst = [max(map(math.hypot, repeat(1.0),
+                                 (g[i, near[i]] if math.isfinite(peak) else g[i]).tolist()))
+                         for i, peak in enumerate(top.tolist())]
+            rows.extend(ScanRow(params=params, u0=float(u0), max_magnitude=m)
+                        for u0, m in zip(u0_list, worst))
     return rows
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import ctypes
 import math
+import os
 from dataclasses import dataclass
 from typing import Optional
 
@@ -32,6 +33,7 @@ __all__ = [
     "matvec",
     "matvec_transpose",
     "solve_banded",
+    "solve_backend",
     "reference_solve_banded",
     "dense_reference_solve",
     "power_iteration",
@@ -260,6 +262,7 @@ def reference_solve_banded(P: Pentadiagonal, b) -> np.ndarray:
 def _lapack_solver(library: str):
     """Return ``solve(P, b)`` over ``dgbtrf``/``dgbtrs`` from ``library``, or None.
 
+    ``solve.backend`` names the two symbols and the library's file name.
     The integer width follows the symbol name: a ``_64_`` suffix marks
     the ILP64 interface (numpy 2.4's wheels export ``scipy_dgbtrf_64_``),
     a plain ``_`` the LP64 one (scipy's wheels export ``scipy_dgbtrf_``,
@@ -318,10 +321,20 @@ def _lapack_solver(library: str):
             raise ValueError(f"dgbtrs rejected argument {-info.value}")
         return x
 
+    solve.backend = f"{dgbtrf.__name__} {dgbtrs.__name__} {os.path.basename(library)}"
     return solve
 
 
 _lapack_solve = _lapack_solver(_umath_linalg.__file__)
+
+
+def solve_backend() -> str:
+    """What :func:`solve_banded` runs, as one plain string.
+
+    ``"<dgbtrf symbol> <dgbtrs symbol> <library file name>"`` for LAPACK,
+    or ``"reference"`` for the hand-rolled kernel where no symbol resolved.
+    """
+    return "reference" if _lapack_solve is None else _lapack_solve.backend
 
 
 def solve_banded(P: Pentadiagonal, b) -> np.ndarray:

@@ -254,5 +254,5 @@ def run_cn(
 
     result = evolve(ic, time, snapshot_times, step)
     if cfg.linearization is LinearizationKind.IMPLICIT_COEFFICIENT:
-        result.picard_solves = tuple(solves)
+        result.picard_solves, result.implicit = tuple(solves), True
     return result

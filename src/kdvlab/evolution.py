@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -21,17 +22,20 @@ def peak_abscissa(field: WaveField) -> float:
 
     The three-point parabola through the largest |u| sample and its
     neighbours gives sub-grid accuracy for smooth pulses; at the grid
-    edge the raw sample position is returned.
+    edge, or where the parabola is flat or not finite, the raw sample
+    position is returned.
     """
     y = np.abs(field.values)
     i = int(np.argmax(y))
     x = field.grid.points()
     if i == 0 or i == field.grid.nx - 1:
         return float(x[i])
-    denom = y[i - 1] - 2.0 * y[i] + y[i + 1]
-    if denom == 0.0:
+    with np.errstate(all="ignore"):
+        denom = y[i - 1] - 2.0 * y[i] + y[i + 1]
+        shift = 0.5 * (y[i - 1] - y[i + 1]) / denom
+    # a flat parabola (denom 0), or one whose terms overflow (a peak above about 9e307)
+    if not (math.isfinite(denom) and math.isfinite(shift)):
         return float(x[i])
-    shift = 0.5 * (y[i - 1] - y[i + 1]) / denom
     return float(x[i] + shift * field.grid.dx)
 
 
@@ -61,7 +65,8 @@ class RunResult:
     ``outcome`` is ``"completed"`` or ``"blow-up"``; a blow-up carries
     the offending step index and whatever snapshots were recorded before
     it.  On completion the snapshot count equals the requested count.
-    ``picard_solves``: an implicit run's Picard solves per completed step.
+    ``implicit`` marks a run that solved each step by Picard iteration;
+    ``picard_solves`` then holds its solves per completed step.
     """
 
     requested_times: tuple
@@ -70,6 +75,7 @@ class RunResult:
     outcome: str
     blow_up_step: Optional[int] = None
     picard_solves: tuple = ()
+    implicit: bool = False
 
     @property
     def completed(self) -> bool:

@@ -12,6 +12,7 @@ from typing import Tuple
 
 import numpy as np
 
+from .banded import solve_backend
 from .errors import ConfigError
 from .evolution import RunResult
 from .model import Grid1D, WaveField
@@ -114,6 +115,14 @@ def write_run_outputs(out_dir: Path, echo_lines, result: RunResult) -> Tuple[lis
     meta.append(
         "blow_up_step = " + ("" if result.blow_up_step is None else str(result.blow_up_step))
     )
+    meta.append(f"backend = {solve_backend()}")
+    if result.implicit:  # empty values when no step completed
+        solves = result.picard_solves
+        summary = ("",) * 3
+        if solves:
+            summary = (min(solves), _fmt(sum(solves) / len(solves)), max(solves))
+        meta.extend(f"picard_solves_{stat} = {value}"
+                    for stat, value in zip(("min", "mean", "max"), summary))
     meta.extend(echo_lines)
     meta.append(f"snapshot_count = {len(result.snapshots)}")
     for snap, diag in zip(result.snapshots, result.diagnostics):

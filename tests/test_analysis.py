@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
+import kdvlab.analysis as analysis
 from kdvlab.analysis import (
     StencilKind,
     apply_stencil,
@@ -191,6 +194,65 @@ def test_scan_rows_are_the_max_of_the_scalar_factors(scheme, amp):
         expected = [max(amp(float(t), p, u0).magnitude for t in thetas)
                     for p in params for u0 in u0_list]
         assert [row.max_magnitude for row in rows] == expected
+
+
+# alpha or beta of 1e150 or 1e200, or u0 of +-1e308, make g, or its square,
+# inf or nan, so those rows take every theta in order
+_RATIOS = st.one_of(st.floats(1e-3, 1e5), st.sampled_from([1e150, 1e200]))
+_U0 = st.one_of(st.floats(-2.0, 2.0), st.sampled_from([1e308, -1e308, 0.0, -0.0]),
+                st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def _scan_grids(draw):
+    params = []
+    for alpha, beta in draw(st.lists(st.tuples(_RATIOS, _RATIOS), max_size=3)):
+        try:
+            params.append(SchemeParams.from_alpha_beta(alpha, beta))
+        except ValueError:  # dx**3 not representable
+            assume(False)
+    u0_list = draw(st.lists(_U0, max_size=3))
+    thetas = draw(st.one_of(
+        st.lists(st.floats(0.0, math.pi), max_size=40),
+        st.integers(0, 2000).map(lambda n: np.linspace(0.0, math.pi, n).tolist()),
+    ))
+    if draw(st.booleans()):
+        draw(st.randoms()).shuffle(thetas)
+    thetas += thetas[:draw(st.integers(0, len(thetas)))]  # duplicates
+    return params, u0_list, thetas
+
+
+@pytest.mark.parametrize("scheme, amp", [("cn", cn_amplification),
+                                         ("explicit", explicit_amplification)])
+@settings(max_examples=100, deadline=None)
+@given(grid=_scan_grids())
+@example(grid=([], [0.0, 1.0], [0.0, 1.0]))
+@example(grid=([SchemeParams.from_alpha_beta(1.0, 1.0)], [], [0.0, 1.0]))
+@example(grid=([SchemeParams.from_alpha_beta(1.0, 1.0)], [0.5], []))
+def test_scan_rows_are_exactly_the_scalar_factors_max(scheme, amp, grid):
+    params, u0_list, thetas = grid
+    rows = stability_scan(scheme, params, u0_list, thetas)
+    expected = [max((amp(t, p, u0).magnitude for t in thetas), default=0.0)
+                for p in params for u0 in u0_list]
+    # repr: bit for bit on finite values, and nan equal to nan
+    assert [repr(row.max_magnitude) for row in rows] == [repr(m) for m in expected]
+    assert [(row.params, row.u0) for row in rows] == [(p, u0) for p in params for u0 in u0_list]
+
+
+def test_explicit_scan_takes_exact_magnitudes_only_near_each_row_maximum(monkeypatch):
+    # the spectral-probes benchmark grid: 15 (alpha, beta) pairs x 6 u0 x 257 theta
+    params = [SchemeParams.from_alpha_beta(a, b)
+              for a in (0.01, 1.0, 100.0, 1000.0, 10000.0) for b in (0.1, 1.0, 10.0)]
+    u0_list = [-1.0, -0.5, 0.0, 0.5, 1.0, 2.0]
+    thetas = np.linspace(0.0, math.pi, 257)
+    exact, calls = math.hypot, []
+    monkeypatch.setattr(analysis.math, "hypot", lambda *xy: calls.append(xy) or exact(*xy))
+    rows = stability_scan("explicit", params, u0_list, thetas)
+    monkeypatch.undo()
+    assert len(calls) <= 2 * len(rows)
+    expected = [max(explicit_amplification(float(t), p, u0).magnitude for t in thetas)
+                for p in params for u0 in u0_list]
+    assert [row.max_magnitude for row in rows] == expected
 
 
 def test_scan_rejects_bad_inputs():

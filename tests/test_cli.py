@@ -3,14 +3,16 @@
 import contextlib
 import io
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from kdvlab import banded
 from kdvlab.banded import Pentadiagonal
-from kdvlab.cli import cmd_eigen, eigen_report_text, main
+from kdvlab.cli import cmd_eigen, eigen_report_text, execute_run, main
 from kdvlab.config import (
     parse_config,
     parse_converge_config,
@@ -532,3 +534,80 @@ def test_overflowing_mass_of_a_recorded_initial_field(tmp_path, capsys):
     meta = (out / "run.meta").read_text()
     assert "outcome = completed\n" in meta
     assert "snapshot t = 0 file = snapshot_t0.csv mass = inf max_abs = 9.9999999999999999e+306" in meta
+
+
+def test_peak_above_9e307_keeps_the_raw_peak_position(tmp_path, capsys):
+    # the parabola through 1e308, 1.7e308, 1e308 overflows; peak_x is the sample's x
+    g = Grid1D(-20.0, 20.0, 201)
+    u = np.full(201, 1e308)
+    u[0] = u[-1] = 0.0
+    u[100] = 1.7e308
+    path = tmp_path / "big2.csv"
+    write_field_csv(path, WaveField(g, 0.0, u))
+    out = tmp_path / "out"
+    assert main(["run", "--nx", "201", "--dt", "0.01", "--ic", f"file {path}",
+                 "--snapshot_times", "0", "--output_dir", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    meta = (out / "run.meta").read_text()
+    peak_x = float(meta.split(" peak_x = ")[1].split()[0])
+    assert peak_x == 0.0  # the centre sample's x
+
+
+def _meta_keys(path):
+    """``key = value`` lines of a run.meta, other than the snapshot lines."""
+    lines = path.read_text().splitlines()
+    return dict(ln.split(" = ", 1) for ln in lines
+                if " = " in ln and not ln.startswith("snapshot t = "))
+
+
+def test_run_meta_names_the_lapack_backend(tmp_path):
+    assert main(small_run_args(tmp_path)) == 0
+    backend = _meta_keys(tmp_path / "out" / "run.meta")["backend"]
+    assert backend == banded.solve_backend()
+    trf, trs, library = backend.split(" ")
+    assert trf.removeprefix("scipy_").startswith("dgbtrf_")
+    assert trs == trf.replace("dgbtrf", "dgbtrs")
+    assert library == Path(banded._umath_linalg.__file__).name
+
+
+def test_run_meta_names_the_reference_backend_when_no_symbol_resolves(tmp_path, monkeypatch):
+    monkeypatch.setattr(banded, "_lapack_solve",
+                        banded._lapack_solver(str(tmp_path / "no-such-lapack.so")))
+    assert banded.solve_backend() == "reference"
+    assert main(small_run_args(tmp_path)) == 0
+    assert _meta_keys(tmp_path / "out" / "run.meta")["backend"] == "reference"
+
+
+# the benchmark's soliton-implicit call: 12 cn-implicit steps at nx 961
+SOLITON_IMPLICIT = {"scheme": "cn-implicit", "gamma_mode": "row-varying", "x_min": "-10",
+                    "x_max": "14", "nx": "961", "dt": "0.0025", "t_end": "0.03",
+                    "ic": "traveling 0.25", "snapshot_times": "0.03"}
+
+
+def test_run_meta_summarises_picard_solves_of_cn_implicit(tmp_path):
+    keys = dict(SOLITON_IMPLICIT, output_dir=str(tmp_path / "out"))
+    assert main(["run"] + [f"--{k}={v}" for k, v in keys.items()]) == 0
+    meta = _meta_keys(tmp_path / "out" / "run.meta")
+    summary = [meta[f"picard_solves_{stat}"] for stat in ("min", "mean", "max")]
+    assert summary == ["3", "3", "3"]
+    solves = execute_run(parse_config("", list(keys.items()))).picard_solves
+    assert len(solves) == 12
+    assert summary == [str(min(solves)), format(sum(solves) / len(solves), ".17g"),
+                       str(max(solves))]
+
+
+def test_run_meta_picard_values_are_empty_when_no_step_completed(tmp_path):
+    # B u overflows before the first solve (see the overflow tests above)
+    args = ["run", "--scheme", "cn-implicit", "--nx", "201", "--dt", "0.5",
+            "--ic", _huge_ic(tmp_path), "--output_dir", str(tmp_path / "out")]
+    assert main(args) == 2
+    text = (tmp_path / "out" / "run.meta").read_text()
+    assert "blow_up_step = 1\n" in text
+    for stat in ("min", "mean", "max"):
+        assert f"\npicard_solves_{stat} = \n" in text
+
+
+@pytest.mark.parametrize("scheme, code", [("cn-lagged", 0), ("explicit", 2)])
+def test_run_meta_has_no_picard_lines_for_other_schemes(tmp_path, scheme, code):
+    assert main(small_run_args(tmp_path, scheme=scheme)) == code
+    assert "picard_solves" not in (tmp_path / "out" / "run.meta").read_text()
