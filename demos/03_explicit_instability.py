@@ -12,7 +12,6 @@ import math
 import numpy as np
 
 from kdvlab import (
-    ExplicitConfig,
     Grid1D,
     SchemeParams,
     TimeGrid,
@@ -32,7 +31,7 @@ print()
 grid = Grid1D(-20.0, 20.0, 4001)
 result = run_explicit(
     appendix_profile(grid),
-    ExplicitConfig(params=params),
+    params,
     TimeGrid(10.0, 0.01),
     snapshot_times=[1.01],
 )

@@ -26,7 +26,6 @@ from .banded import (
     gram_power_iteration,
     invertibility_certificate,
     matvec,
-    matvec_transpose,
     power_iteration,
     solve_banded,
     symbol_bound,
@@ -50,7 +49,7 @@ from .errors import (
     SingularMatrixError,
 )
 from .evolution import RunResult, SnapshotDiagnostics, peak_abscissa
-from .explicit import ExplicitConfig, explicit_step, run_explicit
+from .explicit import explicit_step, run_explicit
 from .model import (
     Grid1D,
     SchemeParams,

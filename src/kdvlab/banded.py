@@ -31,7 +31,6 @@ __all__ = [
     "PowerIterationReport",
     "CertificateReport",
     "matvec",
-    "matvec_transpose",
     "solve_banded",
     "solve_backend",
     "reference_solve_banded",
@@ -156,19 +155,6 @@ def matvec(P: Pentadiagonal, x) -> np.ndarray:
     y[2:] += P.sub2 * x[:-2]
     y[:-1] += P.sup1 * x[1:]
     y[:-2] += P.sup2 * x[2:]
-    return y
-
-
-def matvec_transpose(P: Pentadiagonal, x) -> np.ndarray:
-    """Product P.T @ x without materialising the transpose."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (P.n,):
-        raise ValueError(f"x must have shape ({P.n},), got {x.shape}")
-    y = P.diag * x
-    y[1:] += P.sup1 * x[:-1]
-    y[2:] += P.sup2 * x[:-2]
-    y[:-1] += P.sub1 * x[1:]
-    y[:-2] += P.sub2 * x[2:]
     return y
 
 
@@ -431,8 +417,9 @@ def gram_power_iteration(P: Pentadiagonal, tol: float = 1e-10, max_iters: int = 
     b = rng.standard_normal(P.n)
     b /= np.linalg.norm(b)
 
+    PT = P.transpose()
     rho, iterations, stabilized, b, y = _power_loop(
-        lambda v: matvec_transpose(P, matvec(P, v)), b, tol, max_iters
+        lambda v: matvec(PT, matvec(P, v)), b, tol, max_iters
     )
     residual = float(np.linalg.norm(y - rho * b))
     converged = bool(stabilized and residual <= np.sqrt(tol) * (1.0 + abs(rho)))

@@ -64,7 +64,7 @@ def execute_run(cfg: RunConfig) -> RunResult:
     ic = cfg.initial_field()
     time = cfg.time_grid()
     if cfg.scheme == "explicit":
-        return run_explicit(ic, cfg.explicit_config(), time, cfg.snapshot_times)
+        return run_explicit(ic, cfg.scheme_params(), time, cfg.snapshot_times)
     return run_cn(ic, cfg.cn_config(), time, cfg.snapshot_times)
 
 
@@ -145,20 +145,11 @@ def cmd_eigen(cfg: EigenConfig, out=None) -> int:
 
 def _level_setup(cfg: ConvergeConfig, level: int):
     """Grid, dt, and refinement scale h for one refinement level."""
-    factor = 2**level
-    if cfg.refine == "time":
-        grid = cfg.grid()
-        dt = cfg.dt / factor
-        h = dt
-    elif cfg.refine == "space":
-        grid = Grid1D(cfg.x_min, cfg.x_max, (cfg.nx - 1) * factor + 1)
-        dt = cfg.dt
-        h = grid.dx
-    else:
-        grid = Grid1D(cfg.x_min, cfg.x_max, (cfg.nx - 1) * factor + 1)
-        dt = cfg.dt / factor
-        h = grid.dx
-    return grid, dt, h
+    space = 1 if cfg.refine == "time" else 2**level
+    time = 1 if cfg.refine == "space" else 2**level
+    grid = Grid1D(cfg.x_min, cfg.x_max, (cfg.nx - 1) * space + 1)
+    dt = cfg.dt / time
+    return grid, dt, dt if cfg.refine == "time" else grid.dx
 
 
 def converge_study(cfg: ConvergeConfig):
@@ -186,13 +177,9 @@ def converge_study(cfg: ConvergeConfig):
 
     errors = []
     finest = finals[-1]
-    for level in range(cfg.levels - 1):
-        if cfg.refine == "time":
-            diff = finals[level].values - finest.values
-        else:
-            stride = 2 ** (cfg.levels - 1 - level)
-            diff = finals[level].values - finest.values[::stride]
-        errors.append(float(np.max(np.abs(diff))))
+    for final in finals[:-1]:
+        stride = (finest.grid.nx - 1) // (final.grid.nx - 1)  # 1 when only dt is refined
+        errors.append(float(np.max(np.abs(final.values - finest.values[::stride]))))
     return hs, finals, errors
 
 

@@ -21,7 +21,6 @@ from typing import Callable, ClassVar, Dict, Iterable, NamedTuple, Optional, Tup
 
 from .crank_nicolson import CnConfig, GammaMode, LinearizationKind
 from .errors import ConfigError
-from .explicit import ExplicitConfig
 from .model import (
     Grid1D,
     SchemeParams,
@@ -31,6 +30,7 @@ from .model import (
     initial_condition,
     traveling_wave,
 )
+from .runio import read_field_csv
 
 __all__ = [
     "KEYS",
@@ -134,8 +134,6 @@ class RunConfig:
             return initial_condition(grid, float(self.ic_value))
         if self.ic_kind == "traveling":
             return traveling_wave(grid, float(self.ic_value), 0.0)
-        from .runio import read_field_csv  # local import: runio imports this module's types
-
         return read_field_csv(Path(str(self.ic_value)), grid)
 
     def cn_config(self) -> CnConfig:
@@ -150,9 +148,6 @@ class RunConfig:
             gamma_mode=GammaMode(self.gamma_mode),
             paper_normalization=self.paper_normalization,
         )
-
-    def explicit_config(self) -> ExplicitConfig:
-        return ExplicitConfig(params=self.scheme_params())
 
     def echo_lines(self) -> list:
         """Config echo as deterministic ``key = value`` lines, in table order."""

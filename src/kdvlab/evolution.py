@@ -11,10 +11,29 @@ import numpy as np
 from .errors import BlowUpError, FixedPointError, SingularMatrixError
 from .model import TimeGrid, WaveField, mass
 
-__all__ = ["SnapshotDiagnostics", "RunResult", "evolve", "peak_abscissa"]
+__all__ = ["MAX_AMPLITUDE", "SnapshotDiagnostics", "RunResult", "evolve", "next_state",
+           "peak_abscissa"]
 
 OUTCOME_COMPLETED = "completed"
 OUTCOME_BLOW_UP = "blow-up"
+
+# A state with max |u| above this, or not finite, ends the run as a blow-up.
+MAX_AMPLITUDE = 1e6
+
+
+def next_state(u_n: WaveField, values: np.ndarray, dt: float) -> WaveField:
+    """The field ``values`` one step of ``dt`` after ``u_n``, unless it blew up.
+
+    Every scheme's step ends here.  Raises :class:`BlowUpError` when
+    max |u| is not finite or exceeds :data:`MAX_AMPLITUDE`.
+    """
+    peak = np.max(np.abs(values))
+    if not np.isfinite(peak) or peak > MAX_AMPLITUDE:
+        raise BlowUpError(
+            f"amplitude threshold {MAX_AMPLITUDE:g} exceeded (max |u| = {peak:g})",
+            max_value=float(peak),
+        )
+    return WaveField(u_n.grid, u_n.time + dt, values)
 
 
 def peak_abscissa(field: WaveField) -> float:
@@ -65,17 +84,15 @@ class RunResult:
     ``outcome`` is ``"completed"`` or ``"blow-up"``; a blow-up carries
     the offending step index and whatever snapshots were recorded before
     it.  On completion the snapshot count equals the requested count.
-    ``implicit`` marks a run that solved each step by Picard iteration;
-    ``picard_solves`` then holds its solves per completed step.
+    ``picard_solves`` holds the Picard solves of each completed step,
+    or None for a scheme without Picard iteration.
     """
 
-    requested_times: tuple
     snapshots: list
     diagnostics: list
     outcome: str
     blow_up_step: Optional[int] = None
-    picard_solves: tuple = ()
-    implicit: bool = False
+    picard_solves: Optional[tuple] = None
 
     @property
     def completed(self) -> bool:
@@ -130,23 +147,9 @@ def evolve(
         try:
             state = step(state)
         except BlowUpError:
-            return RunResult(
-                requested_times=requested,
-                snapshots=snapshots,
-                diagnostics=diagnostics,
-                outcome=OUTCOME_BLOW_UP,
-                blow_up_step=n,
-            )
-        except SingularMatrixError as exc:
-            raise SingularMatrixError(f"step {n}: {exc}", row=exc.row) from exc
-        except FixedPointError as exc:
-            raise FixedPointError(
-                f"step {n}: {exc}", residual=exc.residual, iterations=exc.iterations
-            ) from exc
+            return RunResult(snapshots, diagnostics, OUTCOME_BLOW_UP, blow_up_step=n)
+        except (SingularMatrixError, FixedPointError) as exc:
+            exc.args = (f"step {n}: {exc}",)
+            raise
         record_due(state, ic.time + n * time.dt)
-    return RunResult(
-        requested_times=requested,
-        snapshots=snapshots,
-        diagnostics=diagnostics,
-        outcome=OUTCOME_COMPLETED,
-    )
+    return RunResult(snapshots, diagnostics, OUTCOME_COMPLETED)

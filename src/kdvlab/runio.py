@@ -116,7 +116,7 @@ def write_run_outputs(out_dir: Path, echo_lines, result: RunResult) -> Tuple[lis
         "blow_up_step = " + ("" if result.blow_up_step is None else str(result.blow_up_step))
     )
     meta.append(f"backend = {solve_backend()}")
-    if result.implicit:  # empty values when no step completed
+    if result.picard_solves is not None:  # empty values when no step completed
         solves = result.picard_solves
         summary = ("",) * 3
         if solves:

@@ -3,6 +3,9 @@
 import contextlib
 import io
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +13,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import kdvlab
 from kdvlab import banded
 from kdvlab.banded import Pentadiagonal
 from kdvlab.cli import cmd_eigen, eigen_report_text, execute_run, main
@@ -153,7 +157,6 @@ def test_snapshot_csv_bytes_match_per_value_format(tmp_path, grid):
     write_field_csv(tmp_path / "one.csv", fields[0])
     assert (tmp_path / "one.csv").read_bytes() == reference_csv(fields[0]).encode()
     result = RunResult(
-        requested_times=(0.0, 0.25, 0.5),
         snapshots=fields,
         # mass of these values overflows; the meta lines are not under test here
         diagnostics=[SnapshotDiagnostics(f.time, 0.0, 0.0, 0.0) for f in fields],
@@ -611,3 +614,23 @@ def test_run_meta_picard_values_are_empty_when_no_step_completed(tmp_path):
 def test_run_meta_has_no_picard_lines_for_other_schemes(tmp_path, scheme, code):
     assert main(small_run_args(tmp_path, scheme=scheme)) == code
     assert "picard_solves" not in (tmp_path / "out" / "run.meta").read_text()
+
+
+def test_cli_imports_neither_scipy_nor_numba(tmp_path):
+    # a fresh interpreter, since this process has the test extras loaded;
+    # importing scipy alone costs about 0.3 s and 28 MB
+    code = (
+        "import sys\n"
+        "from kdvlab.cli import main\n"
+        "assert main(['eigen', '--nx', '54']) == 0\n"
+        "assert main(sys.argv[1:]) == 0\n"
+        "print('loaded:', [m for m in ('scipy', 'numba') if m in sys.modules])\n"
+    )
+    src = str(Path(kdvlab.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONPATH=path)
+    out = subprocess.run([sys.executable, "-c", code, *small_run_args(tmp_path)],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "loaded: []"
+    assert (tmp_path / "out" / "run.meta").is_file()

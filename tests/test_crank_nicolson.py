@@ -19,7 +19,7 @@ from kdvlab.crank_nicolson import (
     run_cn,
 )
 from kdvlab.errors import FixedPointError
-from kdvlab.explicit import ExplicitConfig, run_explicit
+from kdvlab.explicit import run_explicit
 from kdvlab.model import (
     Grid1D,
     SchemeParams,
@@ -187,7 +187,7 @@ def test_implicit_zero_field_converges_immediately():
 
 def test_implicit_agrees_with_lagged_for_small_amplitude():
     # measured |lagged - implicit| = 4.5e-11 at dt = 1e-4 on this field,
-    # inside the 10 * picard_tol = 1e-9 contract
+    # inside the 10 * PICARD_TOL = 1e-9 contract
     g = Grid1D(-10.0, 10.0, 201)
     x = g.points()
     f = WaveField(g, 0.0, 1e-3 * np.exp(-(x**2) / 4.0))
@@ -208,10 +208,11 @@ def test_implicit_iteration_count_non_increasing_in_dt():
     assert counts == [4, 3, 3]  # frozen regression
 
 
-def test_implicit_reports_fixed_point_failure():
+def test_implicit_reports_fixed_point_failure(monkeypatch):
     g = Grid1D(-10.0, 10.0, 201)
     f = traveling_wave(g, 0.5, 0.0)
-    cfg = implicit_cfg(SchemeParams(dx=g.dx, dt=1e-2), picard_max_iters=1)
+    monkeypatch.setattr(crank_nicolson, "PICARD_MAX_ITERS", 1)
+    cfg = implicit_cfg(SchemeParams(dx=g.dx, dt=1e-2))
     with pytest.raises(FixedPointError) as err:
         cn_step_implicit(f, cfg)
     assert err.value.residual > 0.0
@@ -302,10 +303,10 @@ def _composed_implicit(u_n, cfg):
     """The Picard loop over assemble_implicit, B u re-formed every iterate."""
     prev = u_n.values[2:-2]
     guess = u_n
-    for iteration in range(1, cfg.picard_max_iters + 1):
+    for iteration in range(1, crank_nicolson.PICARD_MAX_ITERS + 1):
         A, B = assemble_implicit(u_n, guess, cfg)
         interior = solve_banded(A, matvec(B, u_n.values[2:-2]))
-        if np.max(np.abs(interior - prev)) < cfg.picard_tol:
+        if np.max(np.abs(interior - prev)) < crank_nicolson.PICARD_TOL:
             return _pinned(u_n, interior), iteration
         prev = interior
         guess = WaveField(u_n.grid, u_n.time, _pinned(u_n, interior))
@@ -373,13 +374,13 @@ def test_run_records_each_steps_picard_solves():
     assert np.array_equal(res.snapshots[-1].values, state.values)
 
 
-def test_picard_solves_are_empty_for_the_other_schemes():
+def test_picard_solves_are_none_for_the_other_schemes():
     g = Grid1D(-10.0, 10.0, 201)
     ic = traveling_wave(g, 0.5, 0.0)
     params = SchemeParams(dx=g.dx, dt=0.01)
-    assert run_cn(ic, lagged_cfg(params), TimeGrid(0.1, 0.01), [0.1]).picard_solves == ()
-    explicit = run_explicit(ic, ExplicitConfig(params), TimeGrid(0.1, 0.01), [0.1])
-    assert explicit.picard_solves == ()
+    assert run_cn(ic, lagged_cfg(params), TimeGrid(0.1, 0.01), [0.1]).picard_solves is None
+    explicit = run_explicit(ic, params, TimeGrid(0.1, 0.01), [0.1])
+    assert explicit.picard_solves is None
 
 
 @settings(max_examples=100, deadline=None)

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from kdvlab.errors import BlowUpError
-from kdvlab.evolution import evolve
-from kdvlab.explicit import ExplicitConfig, explicit_step, run_explicit
+from kdvlab.crank_nicolson import CnConfig, LinearizationKind, cn_step_implicit, cn_step_lagged
+from kdvlab.evolution import MAX_AMPLITUDE, evolve, next_state
+from kdvlab.explicit import explicit_step, run_explicit
 from kdvlab.model import Grid1D, SchemeParams, TimeGrid, WaveField, appendix_profile
 
 
@@ -23,8 +24,8 @@ def transcribed_step(values, dt, dx):
     return out
 
 
-def make_cfg(dx, dt, max_amplitude=1e6):
-    return ExplicitConfig(params=SchemeParams(dx=dx, dt=dt), max_amplitude=max_amplitude)
+def make_cfg(dx, dt):
+    return SchemeParams(dx=dx, dt=dt)
 
 
 def test_zero_field_stays_zero():
@@ -85,11 +86,45 @@ def test_boundary_cells_stay_pinned():
 
 
 def test_blow_up_raises_with_magnitude():
+    # a constant field steps to itself on the interior: max |u| stays 2e6
     g = Grid1D(0.0, 1.0, 11)
-    f = WaveField(g, 0.0, np.full(11, 10.0))
+    f = WaveField(g, 0.0, np.full(11, 2e6))
     with pytest.raises(BlowUpError) as err:
-        explicit_step(f, make_cfg(g.dx, 1.0, max_amplitude=5.0))
-    assert err.value.max_value is not None
+        explicit_step(f, make_cfg(g.dx, 1.0))
+    assert err.value.max_value == 2e6
+    assert str(err.value) == "amplitude threshold 1e+06 exceeded (max |u| = 2e+06)"
+
+
+@pytest.mark.parametrize("scheme", ["explicit", "cn-lagged", "cn-implicit"])
+def test_every_scheme_blows_up_by_the_one_rule(scheme):
+    # dt = 1e-9 keeps each step close to the identity, so the Picard
+    # iteration settles and every scheme lands just above 2e6
+    g = Grid1D(-10.0, 10.0, 41)
+    f = WaveField(g, 0.0, np.full(41, 2e6))
+    params = make_cfg(g.dx, 1e-9)
+    step = {
+        "explicit": lambda: explicit_step(f, params),
+        "cn-lagged": lambda: cn_step_lagged(f, CnConfig(params)),
+        "cn-implicit": lambda: cn_step_implicit(
+            f, CnConfig(params, linearization=LinearizationKind.IMPLICIT_COEFFICIENT)),
+    }[scheme]
+    with pytest.raises(BlowUpError) as err:
+        step()
+    peak = err.value.max_value
+    assert MAX_AMPLITUDE == 1e6 < peak < 2.01e6
+    assert str(err.value) == f"amplitude threshold 1e+06 exceeded (max |u| = {peak:g})"
+
+
+def test_non_finite_state_is_a_blow_up():
+    # nan compares False with the threshold, so the rule tests finiteness itself
+    g = Grid1D(0.0, 1.0, 11)
+    f = WaveField(g, 0.0, np.zeros(11))
+    for bad in (np.nan, -np.inf):
+        values = np.zeros(11)
+        values[5] = bad
+        with pytest.raises(BlowUpError) as err:
+            next_state(f, values, 0.1)
+        assert not np.isfinite(err.value.max_value)
 
 
 def test_run_zero_ic_snapshots():
