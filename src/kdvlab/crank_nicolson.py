@@ -1,19 +1,17 @@
 """Crank-Nicolson solvers for the KdV equation.
 
-Spatial operators are averaged over the two time levels; the advective
-product u u_x is linearised one of two ways:
+Spatial operators are averaged over the two time levels.  Every variant
+solves A U(t+dt) = B U(t), where row i of A has bands
+(-alpha/4, +gamma_i, 1, -gamma_i, +alpha/4), B = 2I - A and
+gamma_i = alpha/2 + (3 beta/8) c_i.  The variants differ only in the
+advective coefficient c: the lagged scheme takes c = u^n (one solve per
+step); the implicit scheme takes the time midpoint c = (u^n + g)/2 and
+resolves the guess g by Picard iteration from g = u^n.
 
-* lagged coefficient: the coefficient is taken from the known level,
-  giving one pentadiagonal solve A U(t+dt) = B U(t) per step, with
-  row weights gamma_i = alpha/2 + (3 beta/8) * coef_i;
-* implicit coefficient: the coefficient sits at the unknown level, so
-  the system is nonlinear in U(t+dt) and is resolved by Picard
-  iteration, re-assembling and re-solving until the iterates settle.
-
-``gamma_mode`` selects whether the lagged coefficient varies per row or
-is frozen at the domain-midpoint value.  The frozen variant makes
-A = I + K with K exactly skew-symmetric, so each step applies a Cayley
-transform: an orthogonal map that cannot amplify the interior solution.
+``gamma_mode`` varies c per row or freezes it at its domain-midpoint
+value.  Frozen, A = I + K with K exactly skew-symmetric, so each solve
+applies a Cayley transform: an orthogonal map that cannot amplify the
+interior solution.
 
 Two interior cells per end are pinned to zero (the dispersion stencil
 reaches two neighbours out), so the interior system has nx - 4 unknowns.
@@ -57,7 +55,7 @@ class LinearizationKind(enum.Enum):
 
 
 class GammaMode(enum.Enum):
-    """Row weighting of the lagged advective coefficient."""
+    """Row weighting of the advective coefficient: per row, or frozen at the domain midpoint."""
 
     ROW_VARYING = "row-varying"
     FROZEN_MIDPOINT = "frozen-midpoint"
@@ -101,74 +99,60 @@ def _quarter(u: WaveField, cfg: CnConfig) -> np.ndarray:
     return np.full(u.grid.nx - 6, cfg.params.alpha / 4.0)
 
 
-def _weight(coef: np.ndarray, cfg: CnConfig) -> np.ndarray:
-    """Advective row weight alpha/2 + (3 beta/8) coef: gamma (lagged) or zeta (implicit)."""
+def _gamma(coef: np.ndarray, cfg: CnConfig) -> np.ndarray:
+    """Row weights alpha/2 + (3 beta/8) c_i of the interior coefficient c, per row or frozen."""
+    if cfg.gamma_mode is GammaMode.FROZEN_MIDPOINT:
+        coef = np.full(coef.size, coef[(coef.size - 1) // 2])  # interior index of x[(nx-1)//2]
     return cfg.params.alpha / 2.0 + (3.0 * cfg.params.beta / 8.0) * coef
 
 
-def _lagged(u: WaveField, cfg: CnConfig) -> Tuple[np.ndarray, np.ndarray]:
-    """(gamma, alpha/4 band) of the lagged scheme, gamma per row or frozen."""
-    quarter = _quarter(u, cfg)
-    if cfg.gamma_mode is GammaMode.FROZEN_MIDPOINT:
-        return _weight(np.full(u.grid.nx - 4, u.values[(u.grid.nx - 1) // 2]), cfg), quarter
-    return _weight(u.values[2:-2], cfg), quarter
+def _midpoint(known: np.ndarray, guess: np.ndarray) -> np.ndarray:
+    """(known + guess)/2, formed so that a guess equal to ``known`` gives ``known`` bitwise."""
+    return known + 0.5 * (guess - known)
 
 
-def _eta(u_n: WaveField, cfg: CnConfig) -> np.ndarray:
-    """Implicit diagonal eta_i = 1 + (3 beta/8)(u_{i+1} - u_{i-1}) at the known level."""
-    return 1.0 + (3.0 * cfg.params.beta / 8.0) * (u_n.values[3:-1] - u_n.values[1:-3])
+def _lhs(gamma: np.ndarray, quarter: np.ndarray) -> Pentadiagonal:
+    """Row i has bands (-quarter, +gamma_i, 1, -gamma_i, +quarter)."""
+    return Pentadiagonal(-quarter, gamma[1:], np.ones(gamma.size), -gamma[:-1], quarter)
 
 
-def _lhs(weight: np.ndarray, diag: np.ndarray, quarter: np.ndarray) -> Pentadiagonal:
-    """Row i has bands (-quarter, +weight_i, diag_i, -weight_i, +quarter)."""
-    return Pentadiagonal(-quarter, weight[1:], diag, -weight[:-1], quarter)
-
-
-def _rhs(x: np.ndarray, weight: np.ndarray, quarter: np.ndarray) -> np.ndarray:
-    """B x for B = 2I - _lhs(weight, 1, quarter), bitwise ``matvec(B, x)``; B is never built.
+def _rhs(x: np.ndarray, gamma: np.ndarray, quarter: np.ndarray) -> np.ndarray:
+    """B x for B = 2I - _lhs(gamma, quarter), bitwise ``matvec(B, x)``; B is never built.
 
     Overflow is a blow-up, raised before any solve sees it.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         y = x.copy()
-        y[1:] -= weight[1:] * x[:-1]
+        y[1:] -= gamma[1:] * x[:-1]
         y[2:] += quarter * x[:-2]
-        y[:-1] += weight[:-1] * x[1:]
+        y[:-1] += gamma[:-1] * x[1:]
         y[:-2] -= quarter * x[2:]
     if not np.isfinite(y).all():
         raise BlowUpError("right-hand side B u overflowed", max_value=float("inf"))
     return y
 
 
-def assemble_lagged(u_n: WaveField, cfg: CnConfig) -> Tuple[Pentadiagonal, Pentadiagonal]:
-    """Interior matrices of the lagged-coefficient scheme.
+def _matrices(
+    coef: np.ndarray, quarter: np.ndarray, cfg: CnConfig
+) -> Tuple[Pentadiagonal, Pentadiagonal]:
+    """(A, B) at the interior coefficient ``coef``: B negates A's off-diagonal bands."""
+    gamma = _gamma(coef, cfg)
+    return _lhs(gamma, quarter), _lhs(-gamma, -quarter)
 
-    Row i of A has bands (-alpha/4, +gamma_i, 1, -gamma_i, +alpha/4)
-    with gamma_i = alpha/2 + (3 beta/8) coef_i; B negates the
-    off-diagonal bands.  With a frozen coefficient both matrices are
-    identity-plus-skew.  The step itself builds only A.
-    """
-    gamma, quarter = _lagged(u_n, cfg)
-    ones = np.ones(gamma.size)
-    return _lhs(gamma, ones, quarter), _lhs(-gamma, ones, -quarter)
+
+def assemble_lagged(u_n: WaveField, cfg: CnConfig) -> Tuple[Pentadiagonal, Pentadiagonal]:
+    """Interior (A, B) of the lagged-coefficient scheme, at c = u^n; the step builds only A."""
+    return _matrices(u_n.values[2:-2], _quarter(u_n, cfg), cfg)
 
 
 def assemble_implicit(
     u_n: WaveField, u_guess: WaveField, cfg: CnConfig
 ) -> Tuple[Pentadiagonal, Pentadiagonal]:
-    """Interior matrices of the implicit-coefficient scheme.
-
-    Row i of A has bands (-alpha/4, +zeta_i, eta_i, -zeta_i, +alpha/4)
-    with zeta_i = alpha/2 + (3 beta/8) * guess_i and
-    eta_i = 1 + (3 beta/8)(u_{i+1} - u_{i-1}) from the known level.
-    B is constant: bands (+alpha/4, -alpha/2, 1, +alpha/2, -alpha/4).
-    """
+    """Interior (A, B) of one Picard iterate: :func:`assemble_lagged`'s at c = (u^n + guess)/2."""
     if u_guess.grid != u_n.grid:
         raise ValueError("u_guess must live on the same grid as u_n")
-    quarter = _quarter(u_n, cfg)
-    A = _lhs(_weight(u_guess.values[2:-2], cfg), _eta(u_n, cfg), quarter)
-    half = _weight(np.zeros(A.n), cfg)  # B is the lagged B at u = 0
-    return A, _lhs(-half, np.ones(A.n), -quarter)
+    known = u_n.values[2:-2]
+    return _matrices(_midpoint(known, u_guess.values[2:-2]), _quarter(u_n, cfg), cfg)
 
 
 def _finish_step(u_n: WaveField, interior: np.ndarray, cfg: CnConfig) -> WaveField:
@@ -182,28 +166,30 @@ def _finish_step(u_n: WaveField, interior: np.ndarray, cfg: CnConfig) -> WaveFie
     return next_state(u_n, new, cfg.params.dt)
 
 
+def _solve(known: np.ndarray, coef: np.ndarray, quarter: np.ndarray, cfg: CnConfig) -> np.ndarray:
+    """Solve A x = B u^n at the coefficient ``coef``; only A is built."""
+    gamma = _gamma(coef, cfg)
+    return solve_banded(_lhs(gamma, quarter), _rhs(known, gamma, quarter))
+
+
 def cn_step_lagged(u_n: WaveField, cfg: CnConfig) -> WaveField:
-    """One lagged-coefficient step: solve A x = B u (only A is built), re-pin boundaries."""
-    gamma, quarter = _lagged(u_n, cfg)
-    rhs = _rhs(u_n.values[2:-2], gamma, quarter)
-    interior = solve_banded(_lhs(gamma, np.ones(gamma.size), quarter), rhs)
-    return _finish_step(u_n, interior, cfg)
+    """One lagged-coefficient step: solve A x = B u at c = u^n, re-pin boundaries."""
+    known = u_n.values[2:-2]
+    return _finish_step(u_n, _solve(known, known, _quarter(u_n, cfg), cfg), cfg)
 
 
 def cn_step_implicit(u_n: WaveField, cfg: CnConfig) -> Tuple[WaveField, int]:
     """One implicit-coefficient step resolved by Picard iteration.
 
-    Starts the coefficient guess at the known level, then re-fills zeta
-    from each iterate and re-solves (B u and eta are formed once) until
-    the iterate changes by less than :data:`PICARD_TOL` in the sup norm.
-    Returns the converged field and the number of solves performed.
+    Starts the guess g at the known level (so the first iterate is the
+    lagged step), then solves at c = (u^n + g)/2 with g the last iterate
+    until the iterate changes by less than :data:`PICARD_TOL` in the sup
+    norm.  Returns the converged field and the number of solves performed.
     """
     quarter = _quarter(u_n, cfg)
-    guess = u_n.values[2:-2]
-    rhs = _rhs(guess, _weight(np.zeros(guess.size), cfg), quarter)  # B at u = 0
-    eta = _eta(u_n, cfg)
+    known = guess = u_n.values[2:-2]
     for iteration in range(1, PICARD_MAX_ITERS + 1):
-        interior = solve_banded(_lhs(_weight(guess, cfg), eta, quarter), rhs)
+        interior = _solve(known, _midpoint(known, guess), quarter, cfg)
         change = float(np.max(np.abs(interior - guess)))
         if not np.isfinite(change):
             raise BlowUpError("Picard iterate became non-finite", max_value=float("inf"))

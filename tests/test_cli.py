@@ -508,9 +508,8 @@ def _huge_ic(tmp_path):
     return f"file {path}"
 
 
-# cn-implicit's B has only alpha-sized bands, so its overflow needs alpha =
-# dt/dx^3 > 36 (dt 0.5, alpha 62.5); at dt 0.01 its B u is finite, and its A
-# (zeta ~ 1e305 around a unit diagonal, odd order 197) is numerically singular.
+# every CN scheme's B carries gamma_i = alpha/2 + (3 beta/8) c_i with c ~ 1e307,
+# so B u overflows at step one for either dt used here (beta 0.05 and 2.5).
 @pytest.mark.parametrize("scheme, dt", [("cn-lagged", "0.01"), ("cn-implicit", "0.5"),
                                         ("explicit", "0.01")])
 @pytest.mark.parametrize("times, recorded", [(None, 0), ("0,1", 1)])

@@ -14,11 +14,13 @@ from kdvlab.crank_nicolson import (
     LinearizationKind,
     assemble_implicit,
     assemble_lagged,
+    cn_step,
     cn_step_implicit,
     cn_step_lagged,
     run_cn,
 )
 from kdvlab.errors import FixedPointError
+from kdvlab.evolution import peak_abscissa
 from kdvlab.explicit import run_explicit
 from kdvlab.model import (
     Grid1D,
@@ -162,21 +164,31 @@ def test_implicit_assembly_matches_lagged_on_zero_field():
     assert np.array_equal(A_imp.to_dense(), A_lag.to_dense())
 
 
-def test_implicit_b_matrix_is_constant_alpha_pattern():
-    f = zero_field()
-    _, B = assemble_implicit(f, f, implicit_cfg(EIGEN_PROBE_PARAMS))
-    assert B.sub2[0] == pytest.approx(250.0, rel=1e-12)
-    assert B.sub1[0] == pytest.approx(-500.0, rel=1e-12)
-    assert np.all(B.diag == 1.0)
-    assert B.sup1[0] == pytest.approx(500.0, rel=1e-12)
-    assert B.sup2[0] == pytest.approx(-250.0, rel=1e-12)
-
-
-def test_implicit_eta_is_one_for_symmetric_neighbours():
+def _dyadic_fields(seed):
+    """A known level and a guess of sixteenths, so (u + g)/2 is exact in doubles."""
+    rng = np.random.default_rng(seed)
     g = Grid1D(-5.0, 5.0, 64)
-    f = WaveField(g, 0.0, np.full(64, 0.7))  # u_{i+1} == u_{i-1} everywhere
-    A, _ = assemble_implicit(f, f, implicit_cfg(SchemeParams(dx=g.dx, dt=0.01)))
-    assert np.all(A.diag == 1.0)
+    u, guess = (rng.integers(-64, 64, 64) / 16.0 for _ in range(2))
+    return g, u, guess
+
+
+def test_implicit_assembly_is_the_lagged_one_at_the_midpoint():
+    g, u, guess = _dyadic_fields(45)
+    for mode in GammaMode:
+        cfg = implicit_cfg(SchemeParams(dx=g.dx, dt=0.01), gamma_mode=mode)
+        A, B = assemble_implicit(WaveField(g, 0.0, u), WaveField(g, 0.0, guess), cfg)
+        A_mid, B_mid = assemble_lagged(WaveField(g, 0.0, (u + guess) / 2.0), cfg)
+        assert np.array_equal(A.to_dense(), A_mid.to_dense()), mode
+        assert np.array_equal(B.to_dense(), B_mid.to_dense()), mode
+        assert np.array_equal(B.to_dense(), 2.0 * np.eye(A.n) - A.to_dense()), mode
+
+
+def test_implicit_diagonal_is_one():
+    g, u, guess = _dyadic_fields(46)
+    for mode in GammaMode:
+        cfg = implicit_cfg(SchemeParams(dx=g.dx, dt=0.01), gamma_mode=mode)
+        A, _ = assemble_implicit(WaveField(g, 0.0, u), WaveField(g, 0.0, guess), cfg)
+        assert np.all(A.diag == 1.0), mode
 
 
 def test_implicit_zero_field_converges_immediately():
@@ -216,6 +228,29 @@ def test_implicit_reports_fixed_point_failure(monkeypatch):
     with pytest.raises(FixedPointError) as err:
         cn_step_implicit(f, cfg)
     assert err.value.residual > 0.0
+
+
+def test_gamma_mode_acts_on_the_implicit_step():
+    g = Grid1D(-10.0, 10.0, 201)
+    f = traveling_wave(g, 1.0, -2.0)  # peak away from the frozen midpoint x = 0
+    params = SchemeParams(dx=g.dx, dt=1e-2)
+    frozen, _ = cn_step_implicit(f, implicit_cfg(params, gamma_mode=GammaMode.FROZEN_MIDPOINT))
+    varying, _ = cn_step_implicit(f, implicit_cfg(params, gamma_mode=GammaMode.ROW_VARYING))
+    assert np.max(np.abs(frozen.values - varying.values)) > 1e-3
+
+
+@pytest.mark.parametrize("linearization, bound", [
+    ("lagged", 1e-2),  # measured 5.62e-3
+    ("implicit", 1e-3),  # measured 8.26e-5
+])
+def test_row_varying_schemes_track_the_traveling_wave(linearization, bound):
+    g = Grid1D(-16.0, 20.0, 1801)
+    cfg = CnConfig(SchemeParams(dx=g.dx, dt=0.005), LinearizationKind(linearization),
+                   GammaMode.ROW_VARYING)
+    res = run_cn(traveling_wave(g, 1.0, 0.0), cfg, TimeGrid(2.0, 0.005), [2.0])
+    end = res.snapshots[-1]
+    assert np.max(np.abs(end.values - traveling_wave(g, 1.0, 2.0).values)) <= bound
+    assert abs(peak_abscissa(end) - 2.0) <= 0.05  # speed v = 1
 
 
 def test_implicit_guess_grid_mismatch():
@@ -300,7 +335,7 @@ def _composed_lagged(u_n, cfg):
 
 
 def _composed_implicit(u_n, cfg):
-    """The Picard loop over assemble_implicit, B u re-formed every iterate."""
+    """The Picard loop over assemble_implicit: A and B at each iterate's midpoint coefficient."""
     prev = u_n.values[2:-2]
     guess = u_n
     for iteration in range(1, crank_nicolson.PICARD_MAX_ITERS + 1):
@@ -350,15 +385,15 @@ def test_lagged_step_builds_one_matrix(monkeypatch):
     assert len(built) == 1
 
 
-def test_implicit_step_forms_b_u_once(monkeypatch):
+def test_implicit_step_forms_b_u_once_per_iterate(monkeypatch):
     g = Grid1D(-10.0, 10.0, 201)
     products = _count(monkeypatch, crank_nicolson, "_rhs")
     built = _count(monkeypatch, crank_nicolson, "Pentadiagonal")
+    solved = _count(monkeypatch, crank_nicolson, "solve_banded")
     _, solves = cn_step_implicit(traveling_wave(g, 0.5, 0.0),
                                  implicit_cfg(SchemeParams(dx=g.dx, dt=1e-2)))
     assert solves == 4  # the frozen count of test_implicit_iteration_count_non_increasing_in_dt
-    assert len(products) == 1
-    assert len(built) == solves  # one A per iterate, no B
+    assert len(products) == len(built) == len(solved) == solves  # A and B u per iterate, no B
 
 
 def test_run_records_each_steps_picard_solves():
@@ -390,13 +425,15 @@ def test_picard_solves_are_none_for_the_other_schemes():
     seed=st.integers(0, 2**32 - 1),
 )
 def test_frozen_midpoint_steps_conserve_l2(nx, dt, seed):
-    # each frozen step is a Cayley transform (I + K)^-1 (I - K), K skew
+    # each frozen solve is a Cayley transform (I + K)^-1 (I - K), K skew,
+    # under either linearization (every Picard iterate maps u^n so)
     g = Grid1D(-20.0, 20.0, nx)
     values = np.zeros(nx)
     values[2:-2] = np.random.default_rng(seed).uniform(-1.0, 1.0, nx - 4)
-    state = WaveField(g, 0.0, values)
-    cfg = lagged_cfg(SchemeParams(dx=g.dx, dt=dt), GammaMode.FROZEN_MIDPOINT)
     l2 = np.sum(values**2)
-    for _ in range(30):
-        state = cn_step_lagged(state, cfg)
-    assert abs(np.sum(state.values**2) - l2) <= 1e-12 * l2
+    for linearization in LinearizationKind:
+        state = WaveField(g, 0.0, values)
+        cfg = CnConfig(SchemeParams(dx=g.dx, dt=dt), linearization, GammaMode.FROZEN_MIDPOINT)
+        for _ in range(30):
+            state, _ = cn_step(state, cfg)
+        assert abs(np.sum(state.values**2) - l2) <= 1e-12 * l2, linearization
