@@ -1,12 +1,12 @@
 """Pentadiagonal storage, banded LU solves, and spectral probes.
 
-A :class:`Pentadiagonal` keeps its five bands in one array laid out as
-LAPACK's general band storage, ``bands[2 + i - j, j] = A[i, j]``.  The
-implicit schemes' systems are solved with an LU factorisation whose
-partial pivoting stays confined to the band; row exchanges widen the
-upper bandwidth from 2 to at most 4, so the working array adds two fill
-rows to the five bands, and both solve paths factor that same array.
-The factorisation is LAPACK's ``dgbtrf``/``dgbtrs``, called through
+A :class:`Pentadiagonal` keeps its five bands in the array that LAPACK's
+band LU factors: one row per matrix column, with two fill entries ahead
+of the five band entries.  The implicit schemes' systems are solved with
+an LU factorisation whose partial pivoting stays confined to the band;
+row exchanges widen the upper bandwidth from 2 to at most 4, which is
+what the fill entries take, and both solve paths factor one copy of the
+array.  The factorisation is LAPACK's ``dgbtrf``/``dgbtrs``, called through
 ``ctypes`` in the LAPACK that numpy links; where no such symbol
 resolves, a hand-rolled kernel, which is also the reference the tests
 compare against, does the same elimination in Python.  A dense
@@ -18,6 +18,7 @@ from __future__ import annotations
 import ctypes
 import math
 import os
+import threading
 from dataclasses import dataclass
 from typing import Optional
 
@@ -45,45 +46,58 @@ __all__ = [
 PIVOT_RTOL = 1e-14
 
 
+# LAPACK band storage for kl = ku = 2: dgbtrf needs kl extra rows for the
+# fill that pivoting causes, so ldab = 2 kl + ku + 1 = 7, and the diagonal
+# (of A on entry, of U on exit) is band row kl + ku = 4.
+_KL = _KU = 2
+_LDAB = 2 * _KL + _KU + 1
+
+
 class Pentadiagonal:
     """Square matrix with five bands: offsets -2, -1, 0, +1, +2.
 
-    ``bands`` is one read-only ``(5, n)`` array in LAPACK band order,
-    ``bands[2 + i - j, j] = A[i, j]``, whose four corners outside the
-    matrix are 0.  Band k of ``sub1`` is entry (k+1, k); band k of
-    ``sup1`` is entry (k, k+1), and similarly two places out for
-    ``sub2``/``sup2``; the five named bands are views of ``bands``.
+    The matrix lives in one read-only ``(n, 7)`` array laid out as
+    LAPACK's band working array: row j is column j of ``AB(ldab, n)``, so
+    ``ab[j, 4 + i - j] = A[i, j]``.  Its first two columns are the fill
+    that row exchanges bring and stay 0 here, as do the four corners
+    outside the matrix; a solve factors one contiguous copy of it.
+    ``bands`` is the ``(5, n)`` view of columns 2-6 in LAPACK band order,
+    ``bands[2 + i - j, j] = A[i, j]``.  Band k of ``sub1`` is entry
+    (k+1, k); band k of ``sup1`` is entry (k, k+1), and similarly two
+    places out for ``sub2``/``sup2``; the five named bands are views too.
     """
 
-    __slots__ = ("_bands", "_views")
+    __slots__ = ("_ab",)
 
     def __init__(self, sub2, sub1, diag, sup1, sup2):
-        given = {"sup2": sup2, "sup1": sup1, "diag": diag, "sub1": sub1, "sub2": sub2}
-        arrays = {name: np.asarray(v, dtype=float) for name, v in given.items()}
-        n = arrays["diag"].shape[0]
+        n = np.shape(diag)[0]
         if n < 5:
             raise ValueError(f"pentadiagonal dimension must be >= 5, got {n}")
-        bands = np.zeros((5, n))
-        views = tuple(bands[row, max(0, 2 - row):n - max(0, row - 2)] for row in range(5))
-        for view, (name, arr) in zip(views, arrays.items()):
-            if arr.shape != view.shape:
-                raise ValueError(f"band {name} must have length {view.size}, got {arr.shape}")
-            view[:] = arr
-        for frozen in (bands, *views):
-            frozen.flags.writeable = False
-        self._bands = bands
-        self._views = views
+        ab = np.zeros((n, _LDAB))
+        for name, band, column, start, stop in (
+            ("sup2", sup2, 2, 2, n),
+            ("sup1", sup1, 3, 1, n),
+            ("diag", diag, 4, 0, n),
+            ("sub1", sub1, 5, 0, n - 1),
+            ("sub2", sub2, 6, 0, n - 2),
+        ):
+            if np.shape(band) != (stop - start,):
+                raise ValueError(f"band {name} must have length {stop - start}, "
+                                 f"got {np.shape(band)}")
+            ab[start:stop, column] = band
+        ab.flags.writeable = False
+        self._ab = ab
 
-    bands = property(lambda self: self._bands)
-    sup2 = property(lambda self: self._views[0])
-    sup1 = property(lambda self: self._views[1])
-    diag = property(lambda self: self._views[2])
-    sub1 = property(lambda self: self._views[3])
-    sub2 = property(lambda self: self._views[4])
+    bands = property(lambda self: self._ab[:, _KL:].T)
+    sup2 = property(lambda self: self._ab[2:, 2])
+    sup1 = property(lambda self: self._ab[1:, 3])
+    diag = property(lambda self: self._ab[:, 4])
+    sub1 = property(lambda self: self._ab[:-1, 5])
+    sub2 = property(lambda self: self._ab[:-2, 6])
 
     @property
     def n(self) -> int:
-        return self._bands.shape[1]
+        return self._ab.shape[0]
 
     @classmethod
     def identity(cls, n: int) -> "Pentadiagonal":
@@ -107,9 +121,9 @@ class Pentadiagonal:
     def to_dense(self) -> np.ndarray:
         n = self.n
         M = np.zeros((n, n))
-        for k, band in zip((2, 1, 0, -1, -2), self._views):
+        for k in (2, 1, 0, -1, -2):
             rows = np.arange(max(0, -k), n - max(0, k))
-            M[rows, rows + k] = band
+            M[rows, rows + k] = self._ab[rows + k, 4 - k]
         return M
 
     def transpose(self) -> "Pentadiagonal":
@@ -158,31 +172,14 @@ def matvec(P: Pentadiagonal, x) -> np.ndarray:
     return y
 
 
-# LAPACK band storage for kl = ku = 2: dgbtrf needs kl extra rows for the
-# fill that pivoting causes, so ldab = 2 kl + ku + 1 = 7, and the diagonal
-# (of A on entry, of U on exit) is band row kl + ku = 4.
-_KL = _KU = 2
-_LDAB = 2 * _KL + _KU + 1
-
-
-def _working_band(P: Pentadiagonal) -> np.ndarray:
-    """Fresh LU working array: row j is column j of LAPACK's AB(ldab, n).
-
-    ``ab[j, 4 + i - j] = A[i, j]``; the first kl entries of each row start
-    at 0 and take the fill that row exchanges bring.
-    """
-    ab = np.zeros((P.n, _LDAB))
-    ab[:, _KL:] = P.bands.T
-    return ab
-
-
 def _lu_solve_kernel(ab, b, x, pivot_floor):
     """In-place banded LU with partial pivoting; returns -1 or the failing row.
 
-    ab is the working array of :func:`_working_band`, so entry (i, c) of
-    the matrix is ``ab[c, 4 + i - c]``; b is consumed as workspace.  Row
-    swaps exchange only the column-aligned segment [k, k+4], which is
-    where all remaining nonzeros of the candidate rows live.
+    ab is a writable copy of a :class:`Pentadiagonal`'s band array, so
+    entry (i, c) of the matrix is ``ab[c, 4 + i - c]``; b is consumed as
+    workspace.  Row swaps exchange only the column-aligned segment
+    [k, k+4], which is where all remaining nonzeros of the candidate rows
+    live.
     """
     n = ab.shape[0]
     for k in range(n):
@@ -229,17 +226,23 @@ def _check_rhs(P: Pentadiagonal, b) -> np.ndarray:
     return b
 
 
+def _pivot_floor(P: Pentadiagonal) -> float:
+    """``PIVOT_RTOL * max|P|`` from two reductions of the band array, with no abs temporary.
+
+    Both reductions are nan if any entry is, and so is the floor.
+    """
+    return PIVOT_RTOL * max(P._ab.max(), -P._ab.min())
+
+
 def _singular(row: int) -> SingularMatrixError:
     return SingularMatrixError(f"zero pivot in banded elimination at row {row}", row=row)
 
 
 def reference_solve_banded(P: Pentadiagonal, b) -> np.ndarray:
     """Solve P x = b with the hand-rolled kernel: the fallback and the test reference."""
-    b = _check_rhs(P, b)
-    ab = _working_band(P)
-    rhs = b.copy()
+    rhs = np.array(_check_rhs(P, b))
     x = np.empty_like(rhs)
-    fail_row = _lu_solve_kernel(ab, rhs, x, PIVOT_RTOL * np.max(np.abs(P.bands)))
+    fail_row = _lu_solve_kernel(np.array(P._ab), rhs, x, _pivot_floor(P))
     if fail_row >= 0:
         raise _singular(int(fail_row))
     return x
@@ -284,22 +287,30 @@ def _lapack_solver(library: str):
     dgbtrs.restype = None
     kl, ku, ldab, nrhs = c_int(_KL), c_int(_KU), c_int(_LDAB), c_int(1)
     ipiv_dtype = np.dtype(c_int)
+    # Each thread keeps the LU workspace of its last n, with its addresses
+    # (each .ctypes builds an object).  A fresh 7 n array per solve, next to
+    # the matrix's own, grows the heap past glibc's trim threshold, so every
+    # time step gave the pages back and faulted them in again.
+    local = threading.local()
 
     def solve(P: Pentadiagonal, b) -> np.ndarray:
-        # x, ab and ipiv are fresh C-contiguous arrays of the declared types,
-        # each bound to a name until the routines return
+        # x, ab and ipiv are C-contiguous arrays of the declared types, each
+        # bound to a name until the routines return
         x = np.array(_check_rhs(P, b))
         n = c_int(P.n)
-        ab = _working_band(P)
-        ipiv = np.empty(P.n, dtype=ipiv_dtype)
-        ab_p, ipiv_p = ab.ctypes.data, ipiv.ctypes.data  # each .ctypes builds an object
+        work = getattr(local, "work", None)
+        if work is None or work[0].shape != P._ab.shape:
+            ab, ipiv = np.empty_like(P._ab), np.empty(P.n, dtype=ipiv_dtype)
+            work = local.work = ab, ipiv, ab.ctypes.data, ipiv.ctypes.data
+        ab, ipiv, ab_p, ipiv_p = work
+        np.copyto(ab, P._ab)  # the one copy: dgbtrf factors it in place
         info = c_int(0)
         dgbtrf(n, n, kl, ku, ab_p, ldab, ipiv_p, info)
         if info.value < 0:
             raise ValueError(f"dgbtrf rejected argument {-info.value}")
         # LAPACK flags only exact zero pivots; apply the kernel's floor to U.
         # fmin skips NaN, so the test fails exactly when some |U_kk| <= floor.
-        pivots, floor = np.abs(ab[:, 4]), PIVOT_RTOL * np.max(np.abs(P.bands))
+        pivots, floor = np.abs(ab[:, 4]), _pivot_floor(P)
         if np.fmin.reduce(pivots) <= floor:
             raise _singular(int(np.flatnonzero(pivots <= floor)[0]))
         dgbtrs(b"N", n, kl, ku, nrhs, ab_p, ldab, ipiv_p, x.ctypes.data, n, info, 1)

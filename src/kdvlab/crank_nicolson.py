@@ -34,6 +34,7 @@ __all__ = [
     "LinearizationKind",
     "GammaMode",
     "CnConfig",
+    "lagged_matrix",
     "assemble_lagged",
     "assemble_implicit",
     "cn_step_lagged",
@@ -101,9 +102,11 @@ def _quarter(u: WaveField, cfg: CnConfig) -> np.ndarray:
 
 def _gamma(coef: np.ndarray, cfg: CnConfig) -> np.ndarray:
     """Row weights alpha/2 + (3 beta/8) c_i of the interior coefficient c, per row or frozen."""
+    params = cfg.params
     if cfg.gamma_mode is GammaMode.FROZEN_MIDPOINT:
-        coef = np.full(coef.size, coef[(coef.size - 1) // 2])  # interior index of x[(nx-1)//2]
-    return cfg.params.alpha / 2.0 + (3.0 * cfg.params.beta / 8.0) * coef
+        mid = float(coef[(coef.size - 1) // 2])  # interior index of x[(nx-1)//2]
+        return np.full(coef.size, params.alpha / 2.0 + (3.0 * params.beta / 8.0) * mid)
+    return params.alpha / 2.0 + (3.0 * params.beta / 8.0) * coef
 
 
 def _midpoint(known: np.ndarray, guess: np.ndarray) -> np.ndarray:
@@ -122,8 +125,9 @@ def _rhs(x: np.ndarray, gamma: np.ndarray, quarter: np.ndarray) -> np.ndarray:
     Overflow is a blow-up, raised before any solve sees it.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        y = x.copy()
-        y[1:] -= gamma[1:] * x[:-1]
+        y = np.empty_like(x)
+        y[0] = x[0]
+        np.subtract(x[1:], gamma[1:] * x[:-1], out=y[1:])
         y[2:] += quarter * x[:-2]
         y[:-1] += gamma[:-1] * x[1:]
         y[:-2] -= quarter * x[2:]
@@ -138,6 +142,11 @@ def _matrices(
     """(A, B) at the interior coefficient ``coef``: B negates A's off-diagonal bands."""
     gamma = _gamma(coef, cfg)
     return _lhs(gamma, quarter), _lhs(-gamma, -quarter)
+
+
+def lagged_matrix(u_n: WaveField, cfg: CnConfig) -> Pentadiagonal:
+    """Interior A of the lagged-coefficient scheme at c = u^n, as its step builds it, without B."""
+    return _lhs(_gamma(u_n.values[2:-2], cfg), _quarter(u_n, cfg))
 
 
 def assemble_lagged(u_n: WaveField, cfg: CnConfig) -> Tuple[Pentadiagonal, Pentadiagonal]:

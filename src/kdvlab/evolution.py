@@ -25,15 +25,19 @@ def next_state(u_n: WaveField, values: np.ndarray, dt: float) -> WaveField:
     """The field ``values`` one step of ``dt`` after ``u_n``, unless it blew up.
 
     Every scheme's step ends here.  Raises :class:`BlowUpError` when
-    max |u| is not finite or exceeds :data:`MAX_AMPLITUDE`.
+    max |u| is not finite or exceeds :data:`MAX_AMPLITUDE`.  ``values``
+    must be a fresh float array of shape ``(nx,)`` that nothing else
+    writes to: it becomes the new field's storage, frozen, not copied.
     """
-    peak = np.max(np.abs(values))
+    if values.shape != (u_n.grid.nx,):
+        raise ValueError(f"values must have shape ({u_n.grid.nx},), got {values.shape}")
+    peak = max(values.max(), -values.min())  # max |u|; both are nan if any u is
     if not np.isfinite(peak) or peak > MAX_AMPLITUDE:
         raise BlowUpError(
             f"amplitude threshold {MAX_AMPLITUDE:g} exceeded (max |u| = {peak:g})",
             max_value=float(peak),
         )
-    return WaveField(u_n.grid, u_n.time + dt, values)
+    return u_n._successor(u_n.time + dt, values)
 
 
 def peak_abscissa(field: WaveField) -> float:
@@ -46,7 +50,7 @@ def peak_abscissa(field: WaveField) -> float:
     """
     y = np.abs(field.values)
     i = int(np.argmax(y))
-    x = field.grid.points()
+    x = field.grid._points
     if i == 0 or i == field.grid.nx - 1:
         return float(x[i])
     with np.errstate(all="ignore"):

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -59,8 +60,15 @@ class Grid1D:
         return (self.x_max - self.x_min) / (self.nx - 1)
 
     def points(self) -> np.ndarray:
-        """Grid coordinates, endpoints included."""
+        """Grid coordinates, endpoints included, as a fresh array."""
         return np.linspace(self.x_min, self.x_max, self.nx)
+
+    @cached_property
+    def _points(self) -> np.ndarray:
+        """:meth:`points` computed once per grid object and read-only, for the diagnostics."""
+        x = self.points()
+        x.flags.writeable = False
+        return x
 
 
 @dataclass(frozen=True)
@@ -114,6 +122,18 @@ class WaveField:
 
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.values)))
+
+    def _successor(self, time: float, values: np.ndarray) -> "WaveField":
+        """The field on this grid at ``time`` whose storage is ``values`` itself, frozen in place.
+
+        For a stepping path that has just built ``values`` (float, shape
+        ``(nx,)``) and checked it finite: it skips the constructor's copy
+        and finiteness scan.
+        """
+        values.flags.writeable = False
+        state = object.__new__(type(self))
+        state.__dict__.update(grid=self.grid, time=time, values=values)  # past the frozen __setattr__
+        return state
 
 
 @dataclass(frozen=True)
@@ -299,4 +319,4 @@ def pde_residual(u, x_samples, t: float, oracle_step: float = 1e-3) -> float:
 def mass(field: WaveField) -> float:
     """Trapezoidal approximation of the integral of u; inf, unwarned, if it overflows."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return float(np.trapezoid(field.values, field.grid.points()))
+        return float(np.trapezoid(field.values, field.grid._points))

@@ -3,10 +3,14 @@
 Output is fully deterministic: values are printed with 17 significant
 digits (lossless for doubles), there are no timestamps, and field order
 is fixed, so identical configurations produce byte-identical files.
+A snapshot is one ``%`` fill of its grid's CSV template, which each
+process builds once per grid and keeps in a small cache.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from pathlib import Path
 from typing import Tuple
 
@@ -44,23 +48,28 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _csv_template(grid: Grid1D) -> str:
+def _csv_template(grid: Grid1D) -> bytes:
     """The ``x,u`` CSV of ``grid`` with each u value left as a ``%.17g`` slot.
 
-    ``template % tuple(u)`` then formats a whole field in one C-level pass.
-    printf ``%.17g`` gives the same digits as ``format(v, ".17g")``, and the
-    formatted x text never holds a ``%``, so the fill is exact.
+    ``template % tuple(u)`` then formats a whole field in one C-level pass,
+    straight to the file's ASCII bytes.  printf ``%.17g`` gives the same
+    digits as ``format(v, ".17g")``, and the formatted x text never holds a
+    ``%``, so the fill is exact.  It is built once per grid value and
+    process.  The key holds the signs of the ends: -0.0 == 0.0, yet a grid
+    that ends at -0.0 prints its last x as ``-0``.
     """
-    return "x,u\n" + ("%.17g,%%.17g\n" * grid.nx) % tuple(grid.points().tolist())
+    return _template(grid, math.copysign(1.0, grid.x_min), math.copysign(1.0, grid.x_max))
 
 
-def _write_csv(path: Path, template: str, field: WaveField) -> None:
-    path.write_text(template % tuple(field.values.tolist()), encoding="utf-8")
+@functools.lru_cache(maxsize=4)
+def _template(grid: Grid1D, *end_signs: float) -> bytes:
+    text = "x,u\n" + ("%.17g,%%.17g\n" * grid.nx) % tuple(grid.points().tolist())
+    return text.encode("ascii")
 
 
 def write_field_csv(path: Path, field: WaveField) -> None:
     """Write one snapshot as ``x,u`` rows with lossless decimal values."""
-    _write_csv(path, _csv_template(field.grid), field)
+    path.write_bytes(_csv_template(field.grid) % tuple(field.values.tolist()))
 
 
 def read_field_csv(path: Path, grid: Grid1D, time: float = 0.0) -> WaveField:
@@ -102,12 +111,9 @@ def write_run_outputs(out_dir: Path, echo_lines, result: RunResult) -> Tuple[lis
     """
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = []
-    templates = {}  # per call: the snapshots of one run share a grid
     for snap in result.snapshots:
-        if snap.grid not in templates:
-            templates[snap.grid] = _csv_template(snap.grid)
         path = out_dir / snapshot_filename(snap.time)
-        _write_csv(path, templates[snap.grid], snap)
+        write_field_csv(path, snap)
         paths.append(path)
 
     meta = ["# kdvlab run metadata"]

@@ -1,6 +1,8 @@
 """Tests for pentadiagonal storage, banded LU, and the spectral probes."""
 
 import importlib.util
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -155,6 +157,41 @@ def test_band_storage_copies_its_inputs():
     for arr in inputs:
         arr[:] = 99.0
     assert np.array_equal(P.to_dense(), before)
+
+
+def test_bands_share_one_lapack_working_array_that_solves_leave_unchanged():
+    rng = np.random.default_rng(19)
+    for n in (5, 8, 40):
+        P = pivoting_penta(rng, n)
+        ab = P.bands.base  # the one array every band views
+        assert ab.shape == (n, 7) and ab.flags.c_contiguous and not ab.flags.writeable
+        assert not ab[:, :2].any()  # the fill columns
+        dense = P.to_dense()
+        for i in range(n):
+            for j in range(max(0, i - 2), min(n, i + 3)):
+                assert ab[j, 4 + i - j] == dense[i, j]
+        for band in (P.bands, P.sub2, P.sub1, P.diag, P.sup1, P.sup2):
+            assert band.base is ab and not band.flags.writeable
+        before = ab.tobytes()
+        for solve in SOLVERS.values():
+            solve(P, rng.standard_normal(n))
+            assert ab.tobytes() == before
+
+
+def test_lapack_solves_in_threads_match_the_reference():
+    # each thread factors in a workspace of its own while ctypes drops the GIL
+    rng = np.random.default_rng(20)
+    cases = [(P, rng.standard_normal(P.n)) for P in (pivoting_penta(rng, 400) for _ in range(8))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            got = list(pool.map(lambda case: solve_banded(*case), cases * 25, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    for (P, b), x in zip(cases * 25, got):
+        assert np.array_equal(x, solve_banded(P, b))
+        assert np.max(np.abs(x - reference_solve_banded(P, b))) <= 1e-12 * np.max(np.abs(x))
 
 
 # ---------------------------------------------------------------------------

@@ -61,6 +61,16 @@ def test_grid_dx_matches_formula():
     assert g.points()[-1] == 20.0
 
 
+def test_grid_points_for_the_diagnostics_are_built_once_and_read_only():
+    g = Grid1D(-1.0, -0.0, 9)
+    cached = g._points
+    assert cached is g._points and not cached.flags.writeable
+    assert np.array_equal(cached, g.points()) and np.signbit(cached[-1])
+    fresh = g.points()
+    fresh[0] = 5.0  # points() stays a fresh, writable array
+    assert cached[0] == -1.0 and g.points()[0] == -1.0
+
+
 def test_grid_rejects_bad_parameters():
     with pytest.raises(ValueError):
         Grid1D(1.0, 1.0, 11)
