@@ -1,12 +1,12 @@
 """Pentadiagonal storage, banded LU solves, and spectral probes.
 
-A :class:`Pentadiagonal` keeps its five bands in the array that LAPACK's
-band LU factors: one row per matrix column, with two fill entries ahead
-of the five band entries.  The implicit schemes' systems are solved with
-an LU factorisation whose partial pivoting stays confined to the band;
-row exchanges widen the upper bandwidth from 2 to at most 4, which is
-what the fill entries take, and both solve paths factor one copy of the
-array.  The factorisation is LAPACK's ``dgbtrf``/``dgbtrs``, called through
+A :class:`Pentadiagonal` keeps its five bands in one array laid out as
+LAPACK's general band storage, ``bands[2 + i - j, j] = A[i, j]``.  The
+implicit schemes' systems are solved with an LU factorisation whose
+partial pivoting stays confined to the band; row exchanges widen the
+upper bandwidth from 2 to at most 4, so the working array adds two fill
+rows to the five bands, and both solve paths factor that same array.
+The factorisation is LAPACK's ``dgbtrf``/``dgbtrs``, called through
 ``ctypes`` in the LAPACK that numpy links; where no such symbol
 resolves, a hand-rolled kernel, which is also the reference the tests
 compare against, does the same elimination in Python.  A dense
@@ -46,58 +46,53 @@ __all__ = [
 PIVOT_RTOL = 1e-14
 
 
-# LAPACK band storage for kl = ku = 2: dgbtrf needs kl extra rows for the
-# fill that pivoting causes, so ldab = 2 kl + ku + 1 = 7, and the diagonal
-# (of A on entry, of U on exit) is band row kl + ku = 4.
-_KL = _KU = 2
-_LDAB = 2 * _KL + _KU + 1
+# The band array's corners outside the matrix.
+_ZEROS = np.zeros(2)
+_ZEROS.flags.writeable = False
 
 
 class Pentadiagonal:
     """Square matrix with five bands: offsets -2, -1, 0, +1, +2.
 
-    The matrix lives in one read-only ``(n, 7)`` array laid out as
-    LAPACK's band working array: row j is column j of ``AB(ldab, n)``, so
-    ``ab[j, 4 + i - j] = A[i, j]``.  Its first two columns are the fill
-    that row exchanges bring and stay 0 here, as do the four corners
-    outside the matrix; a solve factors one contiguous copy of it.
-    ``bands`` is the ``(5, n)`` view of columns 2-6 in LAPACK band order,
-    ``bands[2 + i - j, j] = A[i, j]``.  Band k of ``sub1`` is entry
-    (k+1, k); band k of ``sup1`` is entry (k, k+1), and similarly two
-    places out for ``sub2``/``sup2``; the five named bands are views too.
+    ``bands`` is one read-only ``(5, n)`` array in LAPACK band order,
+    ``bands[2 + i - j, j] = A[i, j]``, whose four corners outside the
+    matrix are 0.  Band k of ``sub1`` is entry (k+1, k); band k of
+    ``sup1`` is entry (k, k+1), and similarly two places out for
+    ``sub2``/``sup2``; the five named bands are views of ``bands``.  A
+    solve copies ``bands`` once, into the LU working array.
     """
 
-    __slots__ = ("_ab",)
+    __slots__ = ("_bands", "_views")
 
     def __init__(self, sub2, sub1, diag, sup1, sup2):
         n = np.shape(diag)[0]
         if n < 5:
             raise ValueError(f"pentadiagonal dimension must be >= 5, got {n}")
-        ab = np.zeros((n, _LDAB))
-        for name, band, column, start, stop in (
-            ("sup2", sup2, 2, 2, n),
-            ("sup1", sup1, 3, 1, n),
-            ("diag", diag, 4, 0, n),
-            ("sub1", sub1, 5, 0, n - 1),
-            ("sub2", sub2, 6, 0, n - 2),
-        ):
-            if np.shape(band) != (stop - start,):
-                raise ValueError(f"band {name} must have length {stop - start}, "
-                                 f"got {np.shape(band)}")
-            ab[start:stop, column] = band
-        ab.flags.writeable = False
-        self._ab = ab
+        given = (("sup2", sup2, 2), ("sup1", sup1, 1), ("diag", diag, 0), ("sub1", sub1, 1),
+                 ("sub2", sub2, 2))
+        for name, band, short in given:
+            if np.shape(band) != (n - short,):
+                raise ValueError(f"band {name} must have length {n - short}, got {np.shape(band)}")
+        bands = np.empty((5, n))
+        # its rows back to back, with the corners' zeros between them
+        np.concatenate(
+            (_ZEROS[:2], sup2, _ZEROS[:1], sup1, diag, sub1, _ZEROS[:1], sub2, _ZEROS[:2]),
+            out=bands.reshape(-1),
+        )
+        bands.flags.writeable = False  # before the views are taken, so that they inherit it
+        self._bands = bands
+        self._views = (bands[0, 2:], bands[1, 1:], bands[2], bands[3, :-1], bands[4, :-2])
 
-    bands = property(lambda self: self._ab[:, _KL:].T)
-    sup2 = property(lambda self: self._ab[2:, 2])
-    sup1 = property(lambda self: self._ab[1:, 3])
-    diag = property(lambda self: self._ab[:, 4])
-    sub1 = property(lambda self: self._ab[:-1, 5])
-    sub2 = property(lambda self: self._ab[:-2, 6])
+    bands = property(lambda self: self._bands)
+    sup2 = property(lambda self: self._views[0])
+    sup1 = property(lambda self: self._views[1])
+    diag = property(lambda self: self._views[2])
+    sub1 = property(lambda self: self._views[3])
+    sub2 = property(lambda self: self._views[4])
 
     @property
     def n(self) -> int:
-        return self._ab.shape[0]
+        return self._bands.shape[1]
 
     @classmethod
     def identity(cls, n: int) -> "Pentadiagonal":
@@ -121,9 +116,9 @@ class Pentadiagonal:
     def to_dense(self) -> np.ndarray:
         n = self.n
         M = np.zeros((n, n))
-        for k in (2, 1, 0, -1, -2):
+        for k, band in zip((2, 1, 0, -1, -2), self._views):
             rows = np.arange(max(0, -k), n - max(0, k))
-            M[rows, rows + k] = self._ab[rows + k, 4 - k]
+            M[rows, rows + k] = band
         return M
 
     def transpose(self) -> "Pentadiagonal":
@@ -172,14 +167,31 @@ def matvec(P: Pentadiagonal, x) -> np.ndarray:
     return y
 
 
+# LAPACK band storage for kl = ku = 2: dgbtrf needs kl extra rows for the
+# fill that pivoting causes, so ldab = 2 kl + ku + 1 = 7, and the diagonal
+# (of A on entry, of U on exit) is band row kl + ku = 4.
+_KL = _KU = 2
+_LDAB = 2 * _KL + _KU + 1
+
+
+def _working_band(P: Pentadiagonal) -> np.ndarray:
+    """Fresh LU working array: row j is column j of LAPACK's AB(ldab, n).
+
+    ``ab[j, 4 + i - j] = A[i, j]``; the first kl entries of each row start
+    at 0 and take the fill that row exchanges bring.
+    """
+    ab = np.zeros((P.n, _LDAB))
+    ab[:, _KL:] = P.bands.T
+    return ab
+
+
 def _lu_solve_kernel(ab, b, x, pivot_floor):
     """In-place banded LU with partial pivoting; returns -1 or the failing row.
 
-    ab is a writable copy of a :class:`Pentadiagonal`'s band array, so
-    entry (i, c) of the matrix is ``ab[c, 4 + i - c]``; b is consumed as
-    workspace.  Row swaps exchange only the column-aligned segment
-    [k, k+4], which is where all remaining nonzeros of the candidate rows
-    live.
+    ab is the working array of :func:`_working_band`, so entry (i, c) of
+    the matrix is ``ab[c, 4 + i - c]``; b is consumed as workspace.  Row
+    swaps exchange only the column-aligned segment [k, k+4], which is
+    where all remaining nonzeros of the candidate rows live.
     """
     n = ab.shape[0]
     for k in range(n):
@@ -227,11 +239,11 @@ def _check_rhs(P: Pentadiagonal, b) -> np.ndarray:
 
 
 def _pivot_floor(P: Pentadiagonal) -> float:
-    """``PIVOT_RTOL * max|P|`` from two reductions of the band array, with no abs temporary.
+    """``PIVOT_RTOL * max|P|`` from two reductions of the bands, with no abs temporary.
 
     Both reductions are nan if any entry is, and so is the floor.
     """
-    return PIVOT_RTOL * max(P._ab.max(), -P._ab.min())
+    return PIVOT_RTOL * max(P.bands.max(), -P.bands.min())
 
 
 def _singular(row: int) -> SingularMatrixError:
@@ -240,9 +252,11 @@ def _singular(row: int) -> SingularMatrixError:
 
 def reference_solve_banded(P: Pentadiagonal, b) -> np.ndarray:
     """Solve P x = b with the hand-rolled kernel: the fallback and the test reference."""
-    rhs = np.array(_check_rhs(P, b))
+    b = _check_rhs(P, b)
+    ab = _working_band(P)
+    rhs = b.copy()
     x = np.empty_like(rhs)
-    fail_row = _lu_solve_kernel(np.array(P._ab), rhs, x, _pivot_floor(P))
+    fail_row = _lu_solve_kernel(ab, rhs, x, _pivot_floor(P))
     if fail_row >= 0:
         raise _singular(int(fail_row))
     return x
@@ -287,10 +301,10 @@ def _lapack_solver(library: str):
     dgbtrs.restype = None
     kl, ku, ldab, nrhs = c_int(_KL), c_int(_KU), c_int(_LDAB), c_int(1)
     ipiv_dtype = np.dtype(c_int)
-    # Each thread keeps the LU workspace of its last n, with its addresses
-    # (each .ctypes builds an object).  A fresh 7 n array per solve, next to
-    # the matrix's own, grows the heap past glibc's trim threshold, so every
-    # time step gave the pages back and faulted them in again.
+    # Each thread keeps the LU working array of its last n, with its
+    # addresses (each .ctypes builds an object).  A fresh 7 n array per
+    # solve grew the heap past glibc's trim threshold, so every time step
+    # gave the pages back and faulted them in again.
     local = threading.local()
 
     def solve(P: Pentadiagonal, b) -> np.ndarray:
@@ -299,11 +313,13 @@ def _lapack_solver(library: str):
         x = np.array(_check_rhs(P, b))
         n = c_int(P.n)
         work = getattr(local, "work", None)
-        if work is None or work[0].shape != P._ab.shape:
-            ab, ipiv = np.empty_like(P._ab), np.empty(P.n, dtype=ipiv_dtype)
+        if work is None or work[1].size != P.n:
+            ab, ipiv = np.empty((P.n, _LDAB)), np.empty(P.n, dtype=ipiv_dtype)
             work = local.work = ab, ipiv, ab.ctypes.data, ipiv.ctypes.data
         ab, ipiv, ab_p, ipiv_p = work
-        np.copyto(ab, P._ab)  # the one copy: dgbtrf factors it in place
+        # dgbtrf factors this copy in place.  It does not read the kl fill
+        # rows on entry, so what the last solve left there does not matter.
+        ab[:, _KL:] = P.bands.T
         info = c_int(0)
         dgbtrf(n, n, kl, ku, ab_p, ldab, ipiv_p, info)
         if info.value < 0:

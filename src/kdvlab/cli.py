@@ -38,7 +38,7 @@ from .config import (
     parse_eigen_config,
     parse_scan_config,
 )
-from .crank_nicolson import lagged_matrix, run_cn
+from .crank_nicolson import assemble_lagged, run_cn
 from .errors import ConfigError, KdvLabError
 from .evolution import RunResult
 from .explicit import run_explicit
@@ -133,7 +133,7 @@ def cmd_eigen(cfg: EigenConfig, out=None) -> int:
     """
     out = sys.stdout if out is None else out
     ic = cfg.initial_field()
-    A = lagged_matrix(ic, cfg.cn_config())
+    A, _ = assemble_lagged(ic, cfg.cn_config())
     header = (
         "kdvlab eigen probe\n"
         f"matrix: lagged-coefficient interior A at t = 0 ({cfg.gamma_mode})\n"

@@ -34,7 +34,6 @@ __all__ = [
     "LinearizationKind",
     "GammaMode",
     "CnConfig",
-    "lagged_matrix",
     "assemble_lagged",
     "assemble_implicit",
     "cn_step_lagged",
@@ -92,12 +91,12 @@ class CnConfig:
     paper_normalization: bool = False
 
 
-def _quarter(u: WaveField, cfg: CnConfig) -> np.ndarray:
-    """The alpha/4 band for the nx - 4 interior unknowns, which must number at least 5."""
+def _quarter(u: WaveField, cfg: CnConfig) -> float:
+    """alpha/4, the constant outer bands, once the nx - 4 interior unknowns number at least 5."""
     if u.grid.nx < 9:
         raise ValueError(f"grid too small for the implicit interior system: nx={u.grid.nx} "
                          "gives fewer than 5 unknowns")
-    return np.full(u.grid.nx - 6, cfg.params.alpha / 4.0)
+    return cfg.params.alpha / 4.0
 
 
 def _gamma(coef: np.ndarray, cfg: CnConfig) -> np.ndarray:
@@ -114,12 +113,13 @@ def _midpoint(known: np.ndarray, guess: np.ndarray) -> np.ndarray:
     return known + 0.5 * (guess - known)
 
 
-def _lhs(gamma: np.ndarray, quarter: np.ndarray) -> Pentadiagonal:
+def _lhs(gamma: np.ndarray, quarter: float) -> Pentadiagonal:
     """Row i has bands (-quarter, +gamma_i, 1, -gamma_i, +quarter)."""
-    return Pentadiagonal(-quarter, gamma[1:], np.ones(gamma.size), -gamma[:-1], quarter)
+    outer = np.full(gamma.size - 2, quarter)
+    return Pentadiagonal(-outer, gamma[1:], np.ones(gamma.size), -gamma[:-1], outer)
 
 
-def _rhs(x: np.ndarray, gamma: np.ndarray, quarter: np.ndarray) -> np.ndarray:
+def _rhs(x: np.ndarray, gamma: np.ndarray, quarter: float) -> np.ndarray:
     """B x for B = 2I - _lhs(gamma, quarter), bitwise ``matvec(B, x)``; B is never built.
 
     Overflow is a blow-up, raised before any solve sees it.
@@ -128,25 +128,21 @@ def _rhs(x: np.ndarray, gamma: np.ndarray, quarter: np.ndarray) -> np.ndarray:
         y = np.empty_like(x)
         y[0] = x[0]
         np.subtract(x[1:], gamma[1:] * x[:-1], out=y[1:])
-        y[2:] += quarter * x[:-2]
+        outer = quarter * x  # both outer bands' products
+        y[2:] += outer[:-2]
         y[:-1] += gamma[:-1] * x[1:]
-        y[:-2] -= quarter * x[2:]
+        y[:-2] -= outer[2:]
     if not np.isfinite(y).all():
         raise BlowUpError("right-hand side B u overflowed", max_value=float("inf"))
     return y
 
 
 def _matrices(
-    coef: np.ndarray, quarter: np.ndarray, cfg: CnConfig
+    coef: np.ndarray, quarter: float, cfg: CnConfig
 ) -> Tuple[Pentadiagonal, Pentadiagonal]:
     """(A, B) at the interior coefficient ``coef``: B negates A's off-diagonal bands."""
     gamma = _gamma(coef, cfg)
     return _lhs(gamma, quarter), _lhs(-gamma, -quarter)
-
-
-def lagged_matrix(u_n: WaveField, cfg: CnConfig) -> Pentadiagonal:
-    """Interior A of the lagged-coefficient scheme at c = u^n, as its step builds it, without B."""
-    return _lhs(_gamma(u_n.values[2:-2], cfg), _quarter(u_n, cfg))
 
 
 def assemble_lagged(u_n: WaveField, cfg: CnConfig) -> Tuple[Pentadiagonal, Pentadiagonal]:
@@ -175,7 +171,7 @@ def _finish_step(u_n: WaveField, interior: np.ndarray, cfg: CnConfig) -> WaveFie
     return next_state(u_n, new, cfg.params.dt)
 
 
-def _solve(known: np.ndarray, coef: np.ndarray, quarter: np.ndarray, cfg: CnConfig) -> np.ndarray:
+def _solve(known: np.ndarray, coef: np.ndarray, quarter: float, cfg: CnConfig) -> np.ndarray:
     """Solve A x = B u^n at the coefficient ``coef``; only A is built."""
     gamma = _gamma(coef, cfg)
     return solve_banded(_lhs(gamma, quarter), _rhs(known, gamma, quarter))

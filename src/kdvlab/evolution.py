@@ -26,9 +26,10 @@ def next_state(u_n: WaveField, values: np.ndarray, dt: float) -> WaveField:
 
     Every scheme's step ends here.  Raises :class:`BlowUpError` when
     max |u| is not finite or exceeds :data:`MAX_AMPLITUDE`.  ``values``
-    must be a fresh float array of shape ``(nx,)`` that nothing else
-    writes to: it becomes the new field's storage, frozen, not copied.
+    is copied, as :class:`~kdvlab.model.WaveField` copies it, and the copy
+    becomes the new field's storage.
     """
+    values = np.array(values, dtype=float)
     if values.shape != (u_n.grid.nx,):
         raise ValueError(f"values must have shape ({u_n.grid.nx},), got {values.shape}")
     peak = max(values.max(), -values.min())  # max |u|; both are nan if any u is

@@ -126,13 +126,14 @@ class WaveField:
     def _successor(self, time: float, values: np.ndarray) -> "WaveField":
         """The field on this grid at ``time`` whose storage is ``values`` itself, frozen in place.
 
-        For a stepping path that has just built ``values`` (float, shape
-        ``(nx,)``) and checked it finite: it skips the constructor's copy
-        and finiteness scan.
+        ``values`` must be a float array of shape ``(nx,)`` that owns its
+        data, is checked finite, and that no one else holds: this skips
+        the constructor's copy and finiteness scan.
         """
         values.flags.writeable = False
-        state = object.__new__(type(self))
-        state.__dict__.update(grid=self.grid, time=time, values=values)  # past the frozen __setattr__
+        state = object.__new__(type(self))  # type(self): not a module-level name a tracer may rebind
+        for name, value in (("grid", self.grid), ("time", time), ("values", values)):
+            object.__setattr__(state, name, value)
         return state
 
 

@@ -3,14 +3,12 @@
 Output is fully deterministic: values are printed with 17 significant
 digits (lossless for doubles), there are no timestamps, and field order
 is fixed, so identical configurations produce byte-identical files.
-A snapshot is one ``%`` fill of its grid's CSV template, which each
-process builds once per grid and keeps in a small cache.
+A snapshot is one ``%`` fill of its grid's CSV template, which a run's
+output builds once.
 """
 
 from __future__ import annotations
 
-import functools
-import math
 from pathlib import Path
 from typing import Tuple
 
@@ -54,22 +52,19 @@ def _csv_template(grid: Grid1D) -> bytes:
     ``template % tuple(u)`` then formats a whole field in one C-level pass,
     straight to the file's ASCII bytes.  printf ``%.17g`` gives the same
     digits as ``format(v, ".17g")``, and the formatted x text never holds a
-    ``%``, so the fill is exact.  It is built once per grid value and
-    process.  The key holds the signs of the ends: -0.0 == 0.0, yet a grid
-    that ends at -0.0 prints its last x as ``-0``.
+    ``%``, so the fill is exact.
     """
-    return _template(grid, math.copysign(1.0, grid.x_min), math.copysign(1.0, grid.x_max))
-
-
-@functools.lru_cache(maxsize=4)
-def _template(grid: Grid1D, *end_signs: float) -> bytes:
     text = "x,u\n" + ("%.17g,%%.17g\n" * grid.nx) % tuple(grid.points().tolist())
     return text.encode("ascii")
 
 
+def _write_csv(path: Path, template: bytes, field: WaveField) -> None:
+    path.write_bytes(template % tuple(field.values.tolist()))
+
+
 def write_field_csv(path: Path, field: WaveField) -> None:
     """Write one snapshot as ``x,u`` rows with lossless decimal values."""
-    path.write_bytes(_csv_template(field.grid) % tuple(field.values.tolist()))
+    _write_csv(path, _csv_template(field.grid), field)
 
 
 def read_field_csv(path: Path, grid: Grid1D, time: float = 0.0) -> WaveField:
@@ -111,9 +106,12 @@ def write_run_outputs(out_dir: Path, echo_lines, result: RunResult) -> Tuple[lis
     """
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = []
+    grid = template = None  # a run's snapshots share one grid object
     for snap in result.snapshots:
+        if snap.grid is not grid:  # by identity: a grid ending at -0.0 equals one ending at 0.0
+            grid, template = snap.grid, _csv_template(snap.grid)
         path = out_dir / snapshot_filename(snap.time)
-        write_field_csv(path, snap)
+        _write_csv(path, template, snap)
         paths.append(path)
 
     meta = ["# kdvlab run metadata"]

@@ -17,7 +17,6 @@ from kdvlab.crank_nicolson import (
     cn_step,
     cn_step_implicit,
     cn_step_lagged,
-    lagged_matrix,
     run_cn,
 )
 from kdvlab.errors import FixedPointError
@@ -81,8 +80,6 @@ def test_b_bands_negate_a_bands_exactly():
         assert np.array_equal(B.sub2, -A.sub2)
         assert np.array_equal(B.sup2, -A.sup2)
         assert np.array_equal(B.diag, A.diag)
-        only_a = lagged_matrix(f, lagged_cfg(SchemeParams(dx=g.dx, dt=0.01), mode))
-        assert only_a.bands.tobytes() == A.bands.tobytes()  # eigen's A, built without B
 
 
 def test_frozen_midpoint_assembly_is_identity_plus_skew():

@@ -128,6 +128,22 @@ def test_non_finite_state_is_a_blow_up():
         assert not np.isfinite(err.value.max_value)
 
 
+def test_next_state_copies_what_it_is_given():
+    g = Grid1D(-1.0, 1.0, 9)
+    f = WaveField(g, 0.0, np.zeros(9))
+    base = np.arange(18.0)
+    view = base[::2]  # a view, whose base the caller keeps writing to
+    for values in (list(range(0, 18, 2)), np.arange(0, 18, 2), view):
+        state = next_state(f, values, 0.5)
+        assert state.values.dtype == np.float64 and state.values.base is None
+        assert not state.values.flags.writeable and state.time == 0.5
+        assert np.array_equal(state.values, 2.0 * np.arange(9))
+    base[:] = -1.0  # state was made from the view
+    assert np.array_equal(state.values, 2.0 * np.arange(9))
+    with pytest.raises(ValueError, match=r"values must have shape \(9,\)"):
+        next_state(f, np.zeros(8), 0.5)
+
+
 def test_steps_do_not_look_up_wavefield_by_name(monkeypatch):
     # the benchmark's tracer rebinds public names, WaveField among them, in
     # every loaded kdvlab module, its home module included
