@@ -231,6 +231,8 @@ class ConvergeConfig(RunConfig):
                 f"refine must be one of {REFINE_MODES}, got {self.refine!r}"
             )
         steps = self.t_end / self.dt
+        if not math.isfinite(steps):
+            raise ConfigError(f"t_end/dt = {self.t_end}/{self.dt} is not a finite step count")
         if abs(steps - round(steps)) > 1e-9 * max(1.0, steps):
             raise ConfigError(
                 f"t_end ({self.t_end}) must be an integer multiple of dt ({self.dt}) "

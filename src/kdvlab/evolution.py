@@ -25,20 +25,18 @@ def next_state(u_n: WaveField, values: np.ndarray, dt: float) -> WaveField:
     """The field ``values`` one step of ``dt`` after ``u_n``, unless it blew up.
 
     Every scheme's step ends here.  Raises :class:`BlowUpError` when
-    max |u| is not finite or exceeds :data:`MAX_AMPLITUDE`.  ``values``
-    is copied, as :class:`~kdvlab.model.WaveField` copies it, and the copy
-    becomes the new field's storage.
+    max |u| is not finite or exceeds :data:`MAX_AMPLITUDE`; otherwise
+    the state is built by :class:`~kdvlab.model.WaveField`, which copies
+    ``values`` and checks its shape.
     """
-    values = np.array(values, dtype=float)
-    if values.shape != (u_n.grid.nx,):
-        raise ValueError(f"values must have shape ({u_n.grid.nx},), got {values.shape}")
+    values = np.asarray(values, dtype=float)
     peak = max(values.max(), -values.min())  # max |u|; both are nan if any u is
     if not np.isfinite(peak) or peak > MAX_AMPLITUDE:
         raise BlowUpError(
             f"amplitude threshold {MAX_AMPLITUDE:g} exceeded (max |u| = {peak:g})",
             max_value=float(peak),
         )
-    return u_n._successor(u_n.time + dt, values)
+    return WaveField(u_n.grid, u_n.time + dt, values)
 
 
 def peak_abscissa(field: WaveField) -> float:
@@ -51,7 +49,7 @@ def peak_abscissa(field: WaveField) -> float:
     """
     y = np.abs(field.values)
     i = int(np.argmax(y))
-    x = field.grid._points
+    x = field.grid.points()
     if i == 0 or i == field.grid.nx - 1:
         return float(x[i])
     with np.errstate(all="ignore"):

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -63,13 +62,6 @@ class Grid1D:
         """Grid coordinates, endpoints included, as a fresh array."""
         return np.linspace(self.x_min, self.x_max, self.nx)
 
-    @cached_property
-    def _points(self) -> np.ndarray:
-        """:meth:`points` computed once per grid object and read-only, for the diagnostics."""
-        x = self.points()
-        x.flags.writeable = False
-        return x
-
 
 @dataclass(frozen=True)
 class TimeGrid:
@@ -89,8 +81,10 @@ class TimeGrid:
             raise ValueError(f"dt must be positive, got {self.dt}")
         if self.t_end <= 0:
             raise ValueError(f"t_end must be positive, got {self.t_end}")
-        steps = math.floor(self.t_end / self.dt * (1.0 + 1e-12))
-        object.__setattr__(self, "nt", steps + 1)
+        steps = self.t_end / self.dt * (1.0 + 1e-12)
+        if not math.isfinite(steps):
+            raise ValueError(f"t_end/dt = {self.t_end}/{self.dt} is not a finite step count")
+        object.__setattr__(self, "nt", math.floor(steps) + 1)
 
     def times(self) -> np.ndarray:
         return np.arange(self.nt) * self.dt
@@ -122,19 +116,6 @@ class WaveField:
 
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.values)))
-
-    def _successor(self, time: float, values: np.ndarray) -> "WaveField":
-        """The field on this grid at ``time`` whose storage is ``values`` itself, frozen in place.
-
-        ``values`` must be a float array of shape ``(nx,)`` that owns its
-        data, is checked finite, and that no one else holds: this skips
-        the constructor's copy and finiteness scan.
-        """
-        values.flags.writeable = False
-        state = object.__new__(type(self))  # type(self): not a module-level name a tracer may rebind
-        for name, value in (("grid", self.grid), ("time", time), ("values", values)):
-            object.__setattr__(state, name, value)
-        return state
 
 
 @dataclass(frozen=True)
@@ -320,4 +301,4 @@ def pde_residual(u, x_samples, t: float, oracle_step: float = 1e-3) -> float:
 def mass(field: WaveField) -> float:
     """Trapezoidal approximation of the integral of u; inf, unwarned, if it overflows."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return float(np.trapezoid(field.values, field.grid._points))
+        return float(np.trapezoid(field.values, field.grid.points()))

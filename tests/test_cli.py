@@ -336,6 +336,17 @@ def test_unallocatable_grid_is_a_clean_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("kdvlab run: error: ")
 
 
+@pytest.mark.parametrize("command", ["run", "converge"])
+def test_step_count_that_overflows_is_a_clean_error(tmp_path, capsys, command):
+    # t_end/dt = inf: no integer step count, so nothing runs and nothing is written
+    out = tmp_path / "out"
+    args = [command, "--dt", "1e-300", "--t_end", "1e300", "--output_dir", str(out)]
+    assert main(args + (["--nx", "9", "--snapshot_times", "0"] if command == "run" else [])) == 1
+    assert capsys.readouterr().err == (
+        f"kdvlab {command}: error: t_end/dt = 1e+300/1e-300 is not a finite step count\n")
+    assert not out.exists()
+
+
 def test_run_outputs_byte_identical(tmp_path):
     a1 = small_run_args(tmp_path, output_dir=str(tmp_path / "a"))
     a2 = small_run_args(tmp_path, output_dir=str(tmp_path / "b"))

@@ -144,16 +144,20 @@ def test_next_state_copies_what_it_is_given():
         next_state(f, np.zeros(8), 0.5)
 
 
-def test_steps_do_not_look_up_wavefield_by_name(monkeypatch):
+def test_steps_build_their_state_through_the_constructor(monkeypatch):
     # the benchmark's tracer rebinds public names, WaveField among them, in
-    # every loaded kdvlab module, its home module included
+    # every loaded kdvlab module, its home module included, and counts the calls
     real = model.WaveField
+    built = []
     for module in (model, evolution, crank_nicolson, explicit):
-        monkeypatch.setattr(module, "WaveField", lambda *args: real(*args))
+        monkeypatch.setattr(module, "WaveField", lambda *args: built.append(args) or real(*args))
     g = Grid1D(-10.0, 10.0, 41)
     f = real(g, 0.0, 1e-3 * np.exp(-g.points() ** 2))
     params = SchemeParams(dx=g.dx, dt=0.01)
-    for state in (explicit_step(f, params), cn_step_lagged(f, CnConfig(params))):
+    for step in (lambda: explicit_step(f, params), lambda: cn_step_lagged(f, CnConfig(params))):
+        built.clear()
+        state = step()
+        assert len(built) == 1  # one construction per step
         assert type(state) is real and state.time == 0.01 and not state.values.flags.writeable
 
 

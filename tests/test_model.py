@@ -61,14 +61,12 @@ def test_grid_dx_matches_formula():
     assert g.points()[-1] == 20.0
 
 
-def test_grid_points_for_the_diagnostics_are_built_once_and_read_only():
+def test_grid_points_are_a_fresh_writable_array():
     g = Grid1D(-1.0, -0.0, 9)
-    cached = g._points
-    assert cached is g._points and not cached.flags.writeable
-    assert np.array_equal(cached, g.points()) and np.signbit(cached[-1])
     fresh = g.points()
-    fresh[0] = 5.0  # points() stays a fresh, writable array
-    assert cached[0] == -1.0 and g.points()[0] == -1.0
+    assert fresh.flags.writeable and np.signbit(fresh[-1])
+    fresh[0] = 5.0  # writing one call's array leaves the next call's as it was
+    assert g.points()[0] == -1.0
 
 
 def test_grid_rejects_bad_parameters():
@@ -85,6 +83,9 @@ def test_time_grid_counts_final_level():
     assert tg.times()[-1] == pytest.approx(10.0, abs=1e-12)
     with pytest.raises(ValueError):
         TimeGrid(t_end=1.0, dt=0.0)
+    for t_end, dt in ((1e300, 1e-300), (float("inf"), 1.0)):  # t_end/dt has no integer floor
+        with pytest.raises(ValueError, match="is not a finite step count"):
+            TimeGrid(t_end=t_end, dt=dt)
 
 
 def test_wave_field_rejects_non_finite():
