@@ -9,6 +9,11 @@ gives a conjugate ratio lambda = (1 - i g)/(1 + i g), hence |lambda| = 1
 identically: the scheme is neutrally stable, never strictly damping.
 The explicit scheme gives lambda = 1 + i g, hence |lambda| >= 1 with
 equality only where g vanishes.
+
+|lambda| is numpy's ``hypot``, libm's, which is faithfully rounded: its
+last bit can differ between platforms.  The scalar factors and the
+stability scan share it, so each scan row equals the maximum of the
+scalar factors' magnitudes bit for bit by construction.
 """
 
 from __future__ import annotations
@@ -16,7 +21,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Callable, Sequence
 
 import numpy as np
@@ -99,6 +103,12 @@ def _cn_lambda(g):
     return (1.0 - g * g) / denom, -2.0 * g / denom
 
 
+def _magnitude(re, im):
+    """|lambda| by np.hypot, on scalars and blocks alike; inf and nan pass silently."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.hypot(re, im)
+
+
 def _explicit_symbol_g(sin1, sin2, params: SchemeParams, u0: float):
     """Explicit symbol's g from sin(theta) and sin(2 theta), scalars or arrays alike."""
     alpha = params.alpha
@@ -114,7 +124,7 @@ def cn_amplification(theta: float, params: SchemeParams, u0: float) -> Amplifica
     """
     re, im = _cn_lambda(_cn_symbol_g(math.sin(theta), math.sin(2.0 * theta), params, u0))
     return AmplificationPoint(
-        theta=theta, lambda_re=re, lambda_im=im, magnitude=math.hypot(re, im)
+        theta=theta, lambda_re=re, lambda_im=im, magnitude=float(_magnitude(re, im))
     )
 
 
@@ -126,25 +136,12 @@ def explicit_amplification(theta: float, params: SchemeParams, u0: float) -> Amp
     """
     g = _explicit_symbol_g(math.sin(theta), math.sin(2.0 * theta), params, u0)
     return AmplificationPoint(
-        theta=theta, lambda_re=1.0, lambda_im=g, magnitude=math.hypot(1.0, g)
+        theta=theta, lambda_re=1.0, lambda_im=g, magnitude=float(_magnitude(1.0, g))
     )
 
 
 SCHEME_CN = "cn"
 SCHEME_EXPLICIT = "explicit"
-
-# The explicit scan takes math.hypot only where a row's maximum can land.
-# Let eps = 2**-52.  math.hypot (Python >= 3.10) is within 1 ulp of
-# |lambda|, a factor 1 +- eps.  The estimate 1 + g*g of |lambda|**2, a
-# rounded square and a rounded sum, is within a factor (1 +- eps/2)**2 of
-# it.  Where the exact maximum lands the estimate is then above
-# ((1 - eps/2)(1 - eps) / ((1 + eps/2)(1 + eps)))**2 > 1 - 6 eps times the
-# row's largest estimate, while the cut-off, that largest estimate times
-# 1 - 8 eps rounded to nearest, is below 1 - 7.5 eps times it: no theta that
-# can hold the exact maximum is dropped.  Crank-Nicolson's |lambda| is 1 to
-# within a few ulps at every theta, so that scan keeps them all.
-_NEAR_TOP = 1.0 - 8.0 * 2.0**-52
-
 
 @dataclass(frozen=True)
 class ScanRow:
@@ -161,15 +158,19 @@ def stability_scan(
     u0_list: Sequence[float],
     theta_samples: Sequence[float],
 ) -> list:
-    """Max |lambda| over theta for every (params, u0) pair, in input order."""
+    """Max |lambda| over theta for every (params, u0) pair, in input order.
+
+    Both schemes reduce one (u0 x theta) block of the scalar factors' |lambda|
+    per params.
+    """
     thetas = [float(t) for t in theta_samples]
     for t in thetas:
         if t < 0.0 or t > math.pi:
             raise ValueError(f"theta samples must lie in [0, pi], got {t}")
     if scheme not in (SCHEME_CN, SCHEME_EXPLICIT):
         raise ValueError(f"unknown scheme {scheme!r}; expected 'cn' or 'explicit'")
-    # math.sin and math.hypot, as in the scalar factors, so every row is the
-    # max of their magnitudes bit for bit (np.hypot can differ in the last bit)
+    # math.sin, as in the scalar factors, so each block element is their
+    # |lambda| bit for bit
     sin1 = np.array([math.sin(t) for t in thetas])
     sin2 = np.array([math.sin(2.0 * t) for t in thetas])
     if not thetas:
@@ -183,21 +184,14 @@ def stability_scan(
     with np.errstate(over="ignore", invalid="ignore"):
         for params in params_list:
             if scheme == SCHEME_CN:
-                re, im = _cn_lambda(_cn_symbol_g(sin1, sin2, params, u0_column))
-                worst = [max(map(math.hypot, re[i].tolist(), im[i].tolist()))
-                         for i in range(len(u0_list))]
+                mag = _magnitude(*_cn_lambda(_cn_symbol_g(sin1, sin2, params, u0_column)))
             else:
-                g = _explicit_symbol_g(sin1, sin2, params, u0_column)
-                square = 1.0 + g * g
-                top = square.max(axis=1)  # nan or inf iff some square in the row is
-                near = square >= (top * _NEAR_TOP)[:, None]
-                # a row with nan or inf keeps every theta in order, so
-                # Python's max meets nan as the scalar factors' max does
-                worst = [max(map(math.hypot, repeat(1.0),
-                                 (g[i, near[i]] if math.isfinite(peak) else g[i]).tolist()))
-                         for i, peak in enumerate(top.tolist())]
+                mag = _magnitude(1.0, _explicit_symbol_g(sin1, sin2, params, u0_column))
+            # Python's max over theta in order: nan when the first angle's
+            # magnitude is nan, else the largest magnitude that is not nan
+            worst = np.where(np.isnan(mag[:, 0]), np.nan, np.fmax.reduce(mag, axis=1))
             rows.extend(ScanRow(params=params, u0=float(u0), max_magnitude=m)
-                        for u0, m in zip(u0_list, worst))
+                        for u0, m in zip(u0_list, worst.tolist()))
     return rows
 
 

@@ -178,8 +178,9 @@ def test_scan_invariant_under_theta_reordering():
 @pytest.mark.parametrize("scheme, amp", [("cn", cn_amplification),
                                          ("explicit", explicit_amplification)])
 def test_scan_rows_are_the_max_of_the_scalar_factors(scheme, amp):
-    # this seed's corpus holds, for each scheme, a row whose max would move
-    # by one ulp if the scan reduced with np.hypot instead of math.hypot
+    # this seed's corpus holds, for each scheme, a row whose max differs by
+    # one ulp between math.hypot and np.hypot: the test fails if the scan and
+    # the scalar factors stop sharing one magnitude
     rng = np.random.default_rng(105)
     for _ in range(12):
         n_theta = int(rng.integers(2, 2001))
@@ -229,6 +230,12 @@ def _scan_grids(draw):
 @example(grid=([], [0.0, 1.0], [0.0, 1.0]))
 @example(grid=([SchemeParams.from_alpha_beta(1.0, 1.0)], [], [0.0, 1.0]))
 @example(grid=([SchemeParams.from_alpha_beta(1.0, 1.0)], [0.5], []))
+# the first angle's magnitude is nan in both schemes (inf * sin 0), so the row is nan
+@example(grid=([SchemeParams.from_alpha_beta(1.0, 1e200)], [1e308], [0.0, 1.0]))
+# nan after a magnitude that is not nan: CN's g**2 overflows at theta 1 after two
+# finite magnitudes; the explicit g is inf, nan (inf * sin 0), inf; Python's max skips it
+@example(grid=([SchemeParams.from_alpha_beta(1.0, 1.0), SchemeParams.from_alpha_beta(1.0, 1e200)],
+               [1e308], [1e-300, 0.0, 1.0]))
 def test_scan_rows_are_exactly_the_scalar_factors_max(scheme, amp, grid):
     params, u0_list, thetas = grid
     rows = stability_scan(scheme, params, u0_list, thetas)
@@ -239,20 +246,57 @@ def test_scan_rows_are_exactly_the_scalar_factors_max(scheme, amp, grid):
     assert [(row.params, row.u0) for row in rows] == [(p, u0) for p in params for u0 in u0_list]
 
 
-def test_explicit_scan_takes_exact_magnitudes_only_near_each_row_maximum(monkeypatch):
+@pytest.mark.parametrize("scheme, amp", [("cn", cn_amplification),
+                                         ("explicit", explicit_amplification)])
+def test_scan_and_scalar_factors_take_no_math_hypot(scheme, amp, monkeypatch):
     # the spectral-probes benchmark grid: 15 (alpha, beta) pairs x 6 u0 x 257 theta
     params = [SchemeParams.from_alpha_beta(a, b)
               for a in (0.01, 1.0, 100.0, 1000.0, 10000.0) for b in (0.1, 1.0, 10.0)]
     u0_list = [-1.0, -0.5, 0.0, 0.5, 1.0, 2.0]
     thetas = np.linspace(0.0, math.pi, 257)
-    exact, calls = math.hypot, []
-    monkeypatch.setattr(analysis.math, "hypot", lambda *xy: calls.append(xy) or exact(*xy))
-    rows = stability_scan("explicit", params, u0_list, thetas)
-    monkeypatch.undo()
-    assert len(calls) <= 2 * len(rows)
-    expected = [max(explicit_amplification(float(t), p, u0).magnitude for t in thetas)
+
+    def no_hypot(*xy):
+        raise AssertionError("|lambda| must come from np.hypot")
+
+    monkeypatch.setattr(analysis.math, "hypot", no_hypot)
+    rows = stability_scan(scheme, params, u0_list, thetas)
+    expected = [max(amp(float(t), p, u0).magnitude for t in thetas)
                 for p in params for u0 in u0_list]
-    assert [row.max_magnitude for row in rows] == expected
+    assert [repr(row.max_magnitude) for row in rows] == [repr(m) for m in expected]
+
+
+# every binary64 exponent, subnormals included, with either sign
+_EXPONENT_SPAN = st.builds(lambda m, e, sign: sign * math.ldexp(m, e),
+                           st.floats(0.5, 1.0, exclude_max=True),
+                           st.integers(-1074, 1024), st.sampled_from([1.0, -1.0]))
+_HYPOT_ARGS = st.one_of(
+    st.floats(), _EXPONENT_SPAN,
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                     1.7976931348623157e308, -1.7976931348623157e308,
+                     math.inf, -math.inf, math.nan]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pairs=st.lists(st.tuples(_HYPOT_ARGS, _HYPOT_ARGS), min_size=1, max_size=300))
+@example(pairs=[(1.0, 1e-300), (5e-324, 5e-324), (0.0, -0.0), (1.7976931348623157e308,) * 2,
+                (math.inf, math.nan), (math.nan, -math.inf), (math.nan, 1.0)])
+def test_numpy_hypot_is_the_same_on_scalars_and_blocks(pairs):
+    # the scan rows equal the scalar factors' max only because a 0-d np.hypot
+    # and a block np.hypot give the same bits; a numpy whose block hypot takes
+    # another kernel fails here, not silently in the scan
+    x = np.array([a for a, _ in pairs])
+    y = np.array([b for _, b in pairs])
+    with np.errstate(over="ignore", invalid="ignore"):
+        scalar = [repr(float(np.hypot(a, b))) for a, b in pairs]
+        one = [repr(float(np.hypot(1.0, b))) for b in y.tolist()]
+        assert [repr(m) for m in np.hypot(x, y).tolist()] == scalar
+        # the scan's shapes: a (u0 x theta) block, and the explicit 1.0 broadcast
+        assert [repr(m) for m in np.hypot(x[None, :], y[None, :]).ravel().tolist()] == scalar
+        assert [repr(m) for m in np.hypot(1.0, y[None, :]).ravel().tolist()] == one
+        # every explicit row is at least 1, as the spectral-probes gate needs
+        assert all(m >= 1.0 for m, g in zip(np.hypot(1.0, y).tolist(), y.tolist())
+                   if not math.isnan(g))
 
 
 def test_scan_rejects_bad_inputs():
