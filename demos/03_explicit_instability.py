@@ -24,7 +24,7 @@ params = SchemeParams(dx=0.01, dt=0.01)  # alpha = 1e4
 print(f"alpha = {params.alpha:.0f}, beta = {params.beta:.0f}")
 print(f"{'theta':>8} {'|lambda|':>12}")
 for theta in np.linspace(0.0, math.pi, 9):
-    a = explicit_amplification(theta, params, u0=0.5)
+    a = explicit_amplification(theta, params.alpha, params.beta, u0=0.5)
     print(f"{theta:8.3f} {a.magnitude:12.4g}")
 
 print()

@@ -4,9 +4,12 @@ numerical consistency probes.
 The amplification factors insert a Fourier mode into each scheme with
 the advective coefficient frozen at a constant ``u0`` (the only
 convention under which the scheme symbol is a well-defined function of
-the mode angle ``theta = k dx``).  For the Crank-Nicolson scheme this
-gives a conjugate ratio lambda = (1 - i g)/(1 + i g), hence |lambda| = 1
-identically: the scheme is neutrally stable, never strictly damping.
+the mode angle ``theta = k dx``).  The symbol depends on the steps only
+through the mesh ratios ``alpha = dt/dx^3`` and ``beta = dt/dx``, so the
+factors and the stability scan take those ratios directly.  For the
+Crank-Nicolson scheme this gives a conjugate ratio
+lambda = (1 - i g)/(1 + i g), hence |lambda| = 1 identically: the
+scheme is neutrally stable, never strictly damping.
 The explicit scheme gives lambda = 1 + i g, hence |lambda| >= 1 with
 equality only where g vanishes.
 
@@ -21,7 +24,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
@@ -90,10 +93,8 @@ class AmplificationPoint:
     magnitude: float
 
 
-def _cn_symbol_g(sin1, sin2, params: SchemeParams, u0: float):
+def _cn_symbol_g(sin1, sin2, alpha: float, beta: float, u0: float):
     """CN symbol's g from sin(theta) and sin(2 theta), scalars or arrays alike."""
-    alpha = params.alpha
-    beta = params.beta
     return (alpha / 2.0) * sin2 - alpha * sin1 - (3.0 * beta / 4.0) * u0 * sin1
 
 
@@ -109,32 +110,33 @@ def _magnitude(re, im):
         return np.hypot(re, im)
 
 
-def _explicit_symbol_g(sin1, sin2, params: SchemeParams, u0: float):
+def _explicit_symbol_g(sin1, sin2, alpha: float, beta: float, u0: float):
     """Explicit symbol's g from sin(theta) and sin(2 theta), scalars or arrays alike."""
-    alpha = params.alpha
-    beta = params.beta
     return (3.0 * beta / 2.0) * u0 * sin1 + 2.0 * alpha * sin1 - alpha * sin2
 
 
-def cn_amplification(theta: float, params: SchemeParams, u0: float) -> AmplificationPoint:
+def cn_amplification(theta: float, alpha: float, beta: float, u0: float) -> AmplificationPoint:
     """Frozen-coefficient Crank-Nicolson symbol: lambda = (1 - ig)/(1 + ig).
 
     g(theta) = (alpha/2) sin 2theta - alpha sin theta
-               - (3 beta/4) u0 sin theta.
+               - (3 beta/4) u0 sin theta,
+    with the mesh ratios alpha = dt/dx^3 and beta = dt/dx.
     """
-    re, im = _cn_lambda(_cn_symbol_g(math.sin(theta), math.sin(2.0 * theta), params, u0))
+    re, im = _cn_lambda(_cn_symbol_g(math.sin(theta), math.sin(2.0 * theta), alpha, beta, u0))
     return AmplificationPoint(
         theta=theta, lambda_re=re, lambda_im=im, magnitude=float(_magnitude(re, im))
     )
 
 
-def explicit_amplification(theta: float, params: SchemeParams, u0: float) -> AmplificationPoint:
+def explicit_amplification(theta: float, alpha: float, beta: float,
+                           u0: float) -> AmplificationPoint:
     """Frozen-coefficient explicit symbol: lambda = 1 + ig.
 
     g(theta) = (3 beta/2) u0 sin theta + 2 alpha sin theta
-               - alpha sin 2theta.
+               - alpha sin 2theta,
+    with the mesh ratios alpha = dt/dx^3 and beta = dt/dx.
     """
-    g = _explicit_symbol_g(math.sin(theta), math.sin(2.0 * theta), params, u0)
+    g = _explicit_symbol_g(math.sin(theta), math.sin(2.0 * theta), alpha, beta, u0)
     return AmplificationPoint(
         theta=theta, lambda_re=1.0, lambda_im=g, magnitude=float(_magnitude(1.0, g))
     )
@@ -145,23 +147,27 @@ SCHEME_EXPLICIT = "explicit"
 
 @dataclass(frozen=True)
 class ScanRow:
-    """One stability-scan record: worst |lambda| over the sampled angles."""
+    """One stability-scan record: the mesh ratios and u0 as given, and the
+    worst |lambda| over the sampled angles."""
 
-    params: SchemeParams
+    alpha: float
+    beta: float
     u0: float
     max_magnitude: float
 
 
 def stability_scan(
     scheme: str,
-    params_list: Sequence[SchemeParams],
+    ratios: Sequence[Tuple[float, float]],
     u0_list: Sequence[float],
     theta_samples: Sequence[float],
 ) -> list:
-    """Max |lambda| over theta for every (params, u0) pair, in input order.
+    """Max |lambda| over theta for every ((alpha, beta), u0) pair, in input order.
 
-    Both schemes reduce one (u0 x theta) block of the scalar factors' |lambda|
-    per params.
+    ``ratios`` holds (alpha, beta) mesh-ratio pairs, each finite and
+    positive; rows carry them as given.  Both schemes reduce one
+    (u0 x theta) block of the scalar factors' |lambda| per pair, so an
+    empty ``ratios`` or ``u0_list`` gives no rows.
     """
     thetas = [float(t) for t in theta_samples]
     for t in thetas:
@@ -169,28 +175,34 @@ def stability_scan(
             raise ValueError(f"theta samples must lie in [0, pi], got {t}")
     if scheme not in (SCHEME_CN, SCHEME_EXPLICIT):
         raise ValueError(f"unknown scheme {scheme!r}; expected 'cn' or 'explicit'")
+    ratios = [(float(alpha), float(beta)) for alpha, beta in ratios]
+    for alpha, beta in ratios:
+        if not (0.0 < alpha < math.inf and 0.0 < beta < math.inf):
+            raise ValueError(
+                f"alpha and beta must be finite and positive, got {alpha!r}, {beta!r}"
+            )
     # math.sin, as in the scalar factors, so each block element is their
     # |lambda| bit for bit
     sin1 = np.array([math.sin(t) for t in thetas])
     sin2 = np.array([math.sin(2.0 * t) for t in thetas])
     if not thetas:
-        return [ScanRow(params=p, u0=float(u0), max_magnitude=0.0)
-                for p in params_list for u0 in u0_list]
-    # one (u0, theta) block per params: the symbol helpers broadcast a u0
-    # column against the theta row, element by element the scalar arithmetic
+        return [ScanRow(alpha=a, beta=b, u0=float(u0), max_magnitude=0.0)
+                for a, b in ratios for u0 in u0_list]
+    # one (u0, theta) block per (alpha, beta): the symbol helpers broadcast a
+    # u0 column against the theta row, element by element the scalar arithmetic
     u0_column = np.array(u0_list, dtype=float).reshape(-1, 1)
     rows = []
     # overflow to inf and nan passes silently, as in the scalar factors' float arithmetic
     with np.errstate(over="ignore", invalid="ignore"):
-        for params in params_list:
+        for alpha, beta in ratios:
             if scheme == SCHEME_CN:
-                mag = _magnitude(*_cn_lambda(_cn_symbol_g(sin1, sin2, params, u0_column)))
+                mag = _magnitude(*_cn_lambda(_cn_symbol_g(sin1, sin2, alpha, beta, u0_column)))
             else:
-                mag = _magnitude(1.0, _explicit_symbol_g(sin1, sin2, params, u0_column))
+                mag = _magnitude(1.0, _explicit_symbol_g(sin1, sin2, alpha, beta, u0_column))
             # Python's max over theta in order: nan when the first angle's
             # magnitude is nan, else the largest magnitude that is not nan
             worst = np.where(np.isnan(mag[:, 0]), np.nan, np.fmax.reduce(mag, axis=1))
-            rows.extend(ScanRow(params=params, u0=float(u0), max_magnitude=m)
+            rows.extend(ScanRow(alpha=alpha, beta=beta, u0=float(u0), max_magnitude=m)
                         for u0, m in zip(u0_list, worst.tolist()))
     return rows
 

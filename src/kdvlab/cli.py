@@ -42,7 +42,7 @@ from .crank_nicolson import assemble_lagged, run_cn
 from .errors import ConfigError, KdvLabError
 from .evolution import RunResult
 from .explicit import run_explicit
-from .model import Grid1D, SchemeParams
+from .model import Grid1D
 from .runio import _fmt, write_run_outputs
 
 __all__ = [
@@ -78,15 +78,12 @@ def cmd_run(cfg: RunConfig) -> int:
 def cmd_scan(cfg: ScanConfig) -> int:
     """Write ``scan.csv``: max |lambda| over theta per (alpha, beta, u0)."""
     thetas = np.linspace(0.0, math.pi, cfg.n_theta)
-    params_list = [
-        SchemeParams.from_alpha_beta(a, b) for a in cfg.alpha_list for b in cfg.beta_list
-    ]
-    u0_list = cfg.u0_list if cfg.u0_list else (0.0,)
-    rows = stability_scan(cfg.scheme, params_list, u0_list, thetas)
+    ratios = [(a, b) for a in cfg.alpha_list for b in cfg.beta_list]
+    rows = stability_scan(cfg.scheme, ratios, cfg.u0_list, thetas)
     lines = ["alpha,beta,u0,max_abs_lambda"]
     for row in rows:
         lines.append(
-            f"{_fmt(row.params.alpha)},{_fmt(row.params.beta)},"
+            f"{_fmt(row.alpha)},{_fmt(row.beta)},"
             f"{_fmt(row.u0)},{_fmt(row.max_magnitude)}"
         )
     cfg.output_dir.mkdir(parents=True, exist_ok=True)

@@ -124,7 +124,7 @@ class RunConfig:
         return TimeGrid(self.t_end, self.dt)
 
     def scheme_params(self) -> SchemeParams:
-        return SchemeParams.from_grid(self.grid(), self.dt)
+        return SchemeParams(dx=self.grid().dx, dt=self.dt)
 
     def initial_field(self) -> WaveField:
         grid = self.grid()
@@ -150,11 +150,11 @@ class RunConfig:
         )
 
     def echo_lines(self) -> list:
-        """Config echo as deterministic ``key = value`` lines, in table order."""
+        """Echo of the command's keys as deterministic ``key = value`` lines, in table order."""
         return [
             f"{key} = {kind.show(getattr(self, key))}"
-            for key, (kind, _) in KEYS.items()
-            if hasattr(self, key)
+            for key, (kind, commands) in KEYS.items()
+            if self.command in commands
         ]
 
 

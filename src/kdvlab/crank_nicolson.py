@@ -20,6 +20,7 @@ reaches two neighbours out), so the interior system has nx - 4 unknowns.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
@@ -67,7 +68,7 @@ DEMO_PARAMS = SchemeParams(dx=0.01, dt=0.01)
 
 # Spectral-probe preset with alpha = 1000, beta = 1: bands
 # (-250, 500 + 3u/8, 1, -500 - 3u/8, 250).
-EIGEN_PROBE_PARAMS = SchemeParams.from_alpha_beta(1000.0, 1.0)
+EIGEN_PROBE_PARAMS = SchemeParams(dx=math.sqrt(1e-3), dt=math.sqrt(1e-3))
 
 # Picard iteration of the implicit coefficient stops once an iterate moves
 # by less than PICARD_TOL in the sup norm, and fails after PICARD_MAX_ITERS.

@@ -142,26 +142,6 @@ class SchemeParams:
     def beta(self) -> float:
         return self.dt / self.dx
 
-    @classmethod
-    def from_grid(cls, grid: Grid1D, dt: float) -> "SchemeParams":
-        return cls(dx=grid.dx, dt=dt)
-
-    @classmethod
-    def from_alpha_beta(cls, alpha: float, beta: float) -> "SchemeParams":
-        """Recover (dx, dt) from the mesh ratios: dx = sqrt(beta/alpha), dt = beta*dx."""
-        if alpha <= 0 or beta <= 0:
-            raise ValueError(f"alpha and beta must be positive, got {alpha}, {beta}")
-        dx = math.sqrt(beta / alpha)
-        params = cls(dx=dx, dt=beta * dx)
-        try:
-            ok = all(math.isfinite(r) and r > 0 for r in (params.alpha, params.beta))
-        except (OverflowError, ZeroDivisionError):  # dx**3 overflowed or underflowed
-            ok = False
-        if not ok:
-            raise ValueError(f"alpha = {alpha!r}, beta = {beta!r} give dx = {dx!r}, "
-                             "whose mesh ratios are not finite and positive in doubles")
-        return params
-
 
 @dataclass(frozen=True)
 class SolitonSpec:

@@ -47,7 +47,7 @@ def random_sample(rng):
     alpha = float(10.0 ** rng.uniform(-2.0, 4.0))
     beta = float(10.0 ** rng.uniform(-3.0, 1.0))
     u0 = float(rng.uniform(-2.0, 2.0))
-    return theta, SchemeParams.from_alpha_beta(alpha, beta), u0
+    return theta, alpha, beta, u0
 
 
 def test_criterion_01_cn_neutral_stability():
@@ -55,8 +55,8 @@ def test_criterion_01_cn_neutral_stability():
     rng = np.random.default_rng(101)
     worst = 0.0
     for _ in range(1000):
-        theta, params, u0 = random_sample(rng)
-        point = cn_amplification(theta, params, u0)
+        theta, alpha, beta, u0 = random_sample(rng)
+        point = cn_amplification(theta, alpha, beta, u0)
         worst = max(worst, abs(point.magnitude - 1.0))
     assert worst < 1e-12
     report(1, time.perf_counter() - start, 1.0,
@@ -68,17 +68,17 @@ def test_criterion_02_explicit_amplification_identity():
     rng = np.random.default_rng(102)
     worst = 0.0
     for _ in range(1000):
-        theta, params, u0 = random_sample(rng)
-        point = explicit_amplification(theta, params, u0)
+        theta, alpha, beta, u0 = random_sample(rng)
+        point = explicit_amplification(theta, alpha, beta, u0)
         g = (
-            1.5 * params.beta * u0 * math.sin(theta)
-            + 2.0 * params.alpha * math.sin(theta)
-            - params.alpha * math.sin(2.0 * theta)
+            1.5 * beta * u0 * math.sin(theta)
+            + 2.0 * alpha * math.sin(theta)
+            - alpha * math.sin(2.0 * theta)
         )
         scale = max(1.0, g * g)
         worst = max(worst, abs(point.magnitude**2 - (1.0 + g * g)) / scale)
     assert worst < 1e-12
-    ref = explicit_amplification(math.pi / 2.0, SchemeParams.from_alpha_beta(0.1, 1.0), 0.0)
+    ref = explicit_amplification(math.pi / 2.0, 0.1, 1.0, 0.0)
     assert ref.magnitude == pytest.approx(1.019804, abs=5e-7)
     report(2, time.perf_counter() - start, 1.0,
            f"|lambda|^2 = 1 + g^2 within {worst:.1e}; |lambda(pi/2)| = {ref.magnitude:.6f}")
@@ -129,8 +129,9 @@ def test_criterion_04_identity_plus_skew_certificate():
         u0 = float(rng.uniform(-2.0, 2.0))
         grid = Grid1D(-20.0, 20.0, 54)
         field = WaveField(grid, 0.0, np.full(54, u0))
+        dx = math.sqrt(beta / alpha)
         cfg = CnConfig(
-            params=SchemeParams.from_alpha_beta(alpha, beta),
+            params=SchemeParams(dx=dx, dt=beta * dx),
             gamma_mode=GammaMode.FROZEN_MIDPOINT,
         )
         A, _ = assemble_lagged(field, cfg)

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import kdvlab.analysis as analysis
@@ -86,16 +86,14 @@ def test_third_derivative_error_ratio_on_sine():
 # ---------------------------------------------------------------------------
 
 def test_cn_amplification_at_zero_angle():
-    p = SchemeParams.from_alpha_beta(3.0, 0.7)
-    a = cn_amplification(0.0, p, 1.3)
+    a = cn_amplification(0.0, 3.0, 0.7, 1.3)
     assert a.lambda_re == 1.0 and a.lambda_im == 0.0
     assert a.magnitude == 1.0
 
 
 def test_cn_amplification_quarter_turn():
     # alpha = 1, u0 = 0, theta = pi/2: g = -1, lambda = (1+i)/(1-i) = i
-    p = SchemeParams.from_alpha_beta(1.0, 0.5)
-    a = cn_amplification(math.pi / 2.0, p, 0.0)
+    a = cn_amplification(math.pi / 2.0, 1.0, 0.5, 0.0)
     assert a.lambda_re == pytest.approx(0.0, abs=1e-12)
     assert a.lambda_im == pytest.approx(1.0, abs=1e-12)
     assert a.magnitude == pytest.approx(1.0, abs=1e-12)
@@ -108,14 +106,13 @@ def test_cn_magnitude_is_one_everywhere():
         alpha = float(10.0 ** rng.uniform(-2, 4))
         beta = float(10.0 ** rng.uniform(-3, 1))
         u0 = float(rng.uniform(-2.0, 2.0))
-        a = cn_amplification(theta, SchemeParams.from_alpha_beta(alpha, beta), u0)
+        a = cn_amplification(theta, alpha, beta, u0)
         assert abs(a.magnitude - 1.0) < 1e-12
 
 
 def test_explicit_amplification_reference_point():
-    p = SchemeParams.from_alpha_beta(0.1, 0.5)
-    assert explicit_amplification(0.0, p, 1.2).magnitude == 1.0
-    a = explicit_amplification(math.pi / 2.0, p, 0.0)
+    assert explicit_amplification(0.0, 0.1, 0.5, 1.2).magnitude == 1.0
+    a = explicit_amplification(math.pi / 2.0, 0.1, 0.5, 0.0)
     assert a.lambda_re == 1.0
     assert a.lambda_im == pytest.approx(0.2, rel=1e-12)
     assert a.magnitude == pytest.approx(math.sqrt(1.04), rel=1e-12)
@@ -128,15 +125,14 @@ def test_explicit_amplification_never_damps():
         alpha = float(10.0 ** rng.uniform(-2, 2))
         beta = float(10.0 ** rng.uniform(-3, 1))
         u0 = float(rng.uniform(-2.0, 2.0))
-        a = explicit_amplification(theta, SchemeParams.from_alpha_beta(alpha, beta), u0)
+        a = explicit_amplification(theta, alpha, beta, u0)
         assert a.magnitude >= 1.0
 
 
 def test_explicit_amplifies_strictly_away_from_null_angles():
-    p = SchemeParams.from_alpha_beta(1.0, 1.0)
     for theta in np.linspace(0.05, math.pi - 0.05, 50):
         if abs(math.sin(theta) * (2.0 - 2.0 * math.cos(theta))) > 1e-12:
-            assert explicit_amplification(theta, p, 0.0).magnitude > 1.0
+            assert explicit_amplification(theta, 1.0, 1.0, 0.0).magnitude > 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -144,8 +140,8 @@ def test_explicit_amplifies_strictly_away_from_null_angles():
 # ---------------------------------------------------------------------------
 
 def test_scan_cn_rows_all_neutral():
-    params = [SchemeParams.from_alpha_beta(a, b) for a in (0.01, 1.0, 1000.0) for b in (0.1, 1.0)]
-    rows = stability_scan("cn", params, [-1.0, 0.0, 2.0], np.linspace(0.0, math.pi, 101))
+    ratios = [(a, b) for a in (0.01, 1.0, 1000.0) for b in (0.1, 1.0)]
+    rows = stability_scan("cn", ratios, [-1.0, 0.0, 2.0], np.linspace(0.0, math.pi, 101))
     assert len(rows) == 18
     for row in rows:
         assert row.max_magnitude == pytest.approx(1.0, abs=1e-12)
@@ -154,7 +150,7 @@ def test_scan_cn_rows_all_neutral():
 def test_scan_explicit_alpha_ten_blows_up():
     rows = stability_scan(
         "explicit",
-        [SchemeParams.from_alpha_beta(10.0, 1.0)],
+        [(10.0, 1.0)],
         [0.0],
         np.linspace(0.0, math.pi, 721),
     )
@@ -168,10 +164,9 @@ def test_scan_empty_params_gives_empty_table():
 
 
 def test_scan_invariant_under_theta_reordering():
-    params = [SchemeParams.from_alpha_beta(2.0, 0.5)]
     thetas = list(np.linspace(0.0, math.pi, 33))
-    fwd = stability_scan("explicit", params, [0.3], thetas)
-    rev = stability_scan("explicit", params, [0.3], thetas[::-1])
+    fwd = stability_scan("explicit", [(2.0, 0.5)], [0.3], thetas)
+    rev = stability_scan("explicit", [(2.0, 0.5)], [0.3], thetas[::-1])
     assert fwd[0].max_magnitude == rev[0].max_magnitude
 
 
@@ -187,31 +182,26 @@ def test_scan_rows_are_the_max_of_the_scalar_factors(scheme, amp):
         thetas = np.linspace(0.0, math.pi, n_theta)
         if rng.random() < 0.5:
             thetas = rng.uniform(0.0, math.pi, n_theta)
-        params = [SchemeParams.from_alpha_beta(10.0 ** rng.uniform(-3.0, 5.0),
-                                               10.0 ** rng.uniform(-1.0, 1.0))
+        ratios = [(10.0 ** rng.uniform(-3.0, 5.0), 10.0 ** rng.uniform(-1.0, 1.0))
                   for _ in range(2)]
         u0_list = [float(u) for u in rng.uniform(-2.0, 2.0, 2)]
-        rows = stability_scan(scheme, params, u0_list, thetas)
-        expected = [max(amp(float(t), p, u0).magnitude for t in thetas)
-                    for p in params for u0 in u0_list]
+        rows = stability_scan(scheme, ratios, u0_list, thetas)
+        expected = [max(amp(float(t), a, b, u0).magnitude for t in thetas)
+                    for a, b in ratios for u0 in u0_list]
         assert [row.max_magnitude for row in rows] == expected
 
 
-# alpha or beta of 1e150 or 1e200, or u0 of +-1e308, make g, or its square,
-# inf or nan, so those rows take every theta in order
-_RATIOS = st.one_of(st.floats(1e-3, 1e5), st.sampled_from([1e150, 1e200]))
+# alpha or beta of 1e150, 1e200 or 1e250, or u0 of +-1e308, make g, or its
+# square, inf or nan, so those rows take every theta in order; 1e-300 has a
+# dx**3 that underflows, which the scan never forms
+_RATIOS = st.one_of(st.floats(1e-3, 1e5), st.sampled_from([1e-300, 1e150, 1e200, 1e250]))
 _U0 = st.one_of(st.floats(-2.0, 2.0), st.sampled_from([1e308, -1e308, 0.0, -0.0]),
                 st.floats(allow_nan=False, allow_infinity=False))
 
 
 @st.composite
 def _scan_grids(draw):
-    params = []
-    for alpha, beta in draw(st.lists(st.tuples(_RATIOS, _RATIOS), max_size=3)):
-        try:
-            params.append(SchemeParams.from_alpha_beta(alpha, beta))
-        except ValueError:  # dx**3 not representable
-            assume(False)
+    ratios = draw(st.lists(st.tuples(_RATIOS, _RATIOS), max_size=3))
     u0_list = draw(st.lists(_U0, max_size=3))
     thetas = draw(st.one_of(
         st.lists(st.floats(0.0, math.pi), max_size=40),
@@ -220,7 +210,7 @@ def _scan_grids(draw):
     if draw(st.booleans()):
         draw(st.randoms()).shuffle(thetas)
     thetas += thetas[:draw(st.integers(0, len(thetas)))]  # duplicates
-    return params, u0_list, thetas
+    return ratios, u0_list, thetas
 
 
 @pytest.mark.parametrize("scheme, amp", [("cn", cn_amplification),
@@ -228,30 +218,30 @@ def _scan_grids(draw):
 @settings(max_examples=100, deadline=None)
 @given(grid=_scan_grids())
 @example(grid=([], [0.0, 1.0], [0.0, 1.0]))
-@example(grid=([SchemeParams.from_alpha_beta(1.0, 1.0)], [], [0.0, 1.0]))
-@example(grid=([SchemeParams.from_alpha_beta(1.0, 1.0)], [0.5], []))
+@example(grid=([(1.0, 1.0)], [], [0.0, 1.0]))
+@example(grid=([(1.0, 1.0)], [0.5], []))
 # the first angle's magnitude is nan in both schemes (inf * sin 0), so the row is nan
-@example(grid=([SchemeParams.from_alpha_beta(1.0, 1e200)], [1e308], [0.0, 1.0]))
+@example(grid=([(1.0, 1e200)], [1e308], [0.0, 1.0]))
 # nan after a magnitude that is not nan: CN's g**2 overflows at theta 1 after two
 # finite magnitudes; the explicit g is inf, nan (inf * sin 0), inf; Python's max skips it
-@example(grid=([SchemeParams.from_alpha_beta(1.0, 1.0), SchemeParams.from_alpha_beta(1.0, 1e200)],
-               [1e308], [1e-300, 0.0, 1.0]))
+@example(grid=([(1.0, 1.0), (1.0, 1e200)], [1e308], [1e-300, 0.0, 1.0]))
 def test_scan_rows_are_exactly_the_scalar_factors_max(scheme, amp, grid):
-    params, u0_list, thetas = grid
-    rows = stability_scan(scheme, params, u0_list, thetas)
-    expected = [max((amp(t, p, u0).magnitude for t in thetas), default=0.0)
-                for p in params for u0 in u0_list]
+    ratios, u0_list, thetas = grid
+    rows = stability_scan(scheme, ratios, u0_list, thetas)
+    expected = [max((amp(t, a, b, u0).magnitude for t in thetas), default=0.0)
+                for a, b in ratios for u0 in u0_list]
     # repr: bit for bit on finite values, and nan equal to nan
     assert [repr(row.max_magnitude) for row in rows] == [repr(m) for m in expected]
-    assert [(row.params, row.u0) for row in rows] == [(p, u0) for p in params for u0 in u0_list]
+    # the mesh ratios and u0 are the inputs, bit for bit
+    assert [repr((row.alpha, row.beta, row.u0)) for row in rows] == [
+        repr((a, b, u0)) for a, b in ratios for u0 in u0_list]
 
 
 @pytest.mark.parametrize("scheme, amp", [("cn", cn_amplification),
                                          ("explicit", explicit_amplification)])
 def test_scan_and_scalar_factors_take_no_math_hypot(scheme, amp, monkeypatch):
     # the spectral-probes benchmark grid: 15 (alpha, beta) pairs x 6 u0 x 257 theta
-    params = [SchemeParams.from_alpha_beta(a, b)
-              for a in (0.01, 1.0, 100.0, 1000.0, 10000.0) for b in (0.1, 1.0, 10.0)]
+    ratios = [(a, b) for a in (0.01, 1.0, 100.0, 1000.0, 10000.0) for b in (0.1, 1.0, 10.0)]
     u0_list = [-1.0, -0.5, 0.0, 0.5, 1.0, 2.0]
     thetas = np.linspace(0.0, math.pi, 257)
 
@@ -259,9 +249,9 @@ def test_scan_and_scalar_factors_take_no_math_hypot(scheme, amp, monkeypatch):
         raise AssertionError("|lambda| must come from np.hypot")
 
     monkeypatch.setattr(analysis.math, "hypot", no_hypot)
-    rows = stability_scan(scheme, params, u0_list, thetas)
-    expected = [max(amp(float(t), p, u0).magnitude for t in thetas)
-                for p in params for u0 in u0_list]
+    rows = stability_scan(scheme, ratios, u0_list, thetas)
+    expected = [max(amp(float(t), a, b, u0).magnitude for t in thetas)
+                for a, b in ratios for u0 in u0_list]
     assert [repr(row.max_magnitude) for row in rows] == [repr(m) for m in expected]
 
 
@@ -304,6 +294,10 @@ def test_scan_rejects_bad_inputs():
         stability_scan("cn", [], [0.0], [4.0])  # theta outside [0, pi]
     with pytest.raises(ValueError):
         stability_scan("upwind", [], [0.0], [0.1])
+    for bad in (0.0, -1.0, math.nan, math.inf):
+        for pair in ((bad, 1.0), (1.0, bad)):
+            with pytest.raises(ValueError, match="finite and positive"):
+                stability_scan("cn", [(1.0, 1.0), pair], [0.0], [0.1])
 
 
 # ---------------------------------------------------------------------------

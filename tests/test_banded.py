@@ -623,7 +623,7 @@ def test_symbol_bound_matches_the_cn_symbol(nx):
     A, u, cfg = _default_lagged(nx)
     u_mid = u.values[(u.grid.nx - 1) // 2]
     params = cfg.scheme_params()
-    _, sup = _symbol_sup(lambda t: _cn_symbol_g(np.sin(t), np.sin(2.0 * t), params, u_mid) / 2.0)
+    _, sup = _symbol_sup(lambda t: _cn_symbol_g(np.sin(t), np.sin(2.0 * t), params.alpha, params.beta, u_mid) / 2.0)
     U = symbol_bound(A)
     assert sup <= U
     assert U - sup <= 1e-12 * sup

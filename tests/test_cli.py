@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import kdvlab
 from kdvlab import banded
+from kdvlab.analysis import cn_amplification, explicit_amplification
 from kdvlab.banded import Pentadiagonal
 from kdvlab.cli import cmd_eigen, eigen_report_text, execute_run, main
 from kdvlab.config import (
@@ -385,16 +386,30 @@ def test_scan_command_cn_grid(tmp_path):
 
 
 def test_scan_command_empty_grid(tmp_path):
-    assert main(["scan", "--alpha_list", "", "--output_dir", str(tmp_path)]) == 0
-    assert (tmp_path / "scan.csv").read_text() == "alpha,beta,u0,max_abs_lambda\n"
+    for key in ("alpha_list", "u0_list"):
+        out = tmp_path / key
+        assert main(["scan", f"--{key}", "", "--output_dir", str(out)]) == 0
+        assert (out / "scan.csv").read_text() == "alpha,beta,u0,max_abs_lambda\n"
 
 
-@pytest.mark.parametrize("alpha", ["1e250", "1e-300"])  # dx**3 underflows / overflows
-def test_scan_rejects_unrepresentable_mesh_ratios(tmp_path, capsys, alpha):
-    args = ["scan", "--alpha_list", alpha, "--beta_list", "1", "--output_dir", str(tmp_path)]
-    assert main(args) == 1
-    assert capsys.readouterr().err.startswith("kdvlab scan: error: alpha = ")
-    assert not (tmp_path / "scan.csv").exists()
+@pytest.mark.parametrize("scheme, amp", [("cn", cn_amplification),
+                                         ("explicit", explicit_amplification)])
+def test_scan_evaluates_and_writes_the_requested_mesh_ratios(tmp_path, scheme, amp):
+    # 1e250 and 1e-300 have no (dx, dt) whose dx**3 is a double; 0.1 is not
+    # dt/dx for the dx = sqrt(beta/alpha), dt = beta*dx of alpha = 0.01
+    alphas, betas, u0s = (1e250, 1e-300, 0.01), (0.1, 10.0), (0.0, 0.5)
+    assert main(["scan", "--scheme", scheme, "--alpha_list", "1e250,1e-300,0.01",
+                 "--beta_list", "0.1,10", "--u0_list", "0,0.5", "--n_theta", "65",
+                 "--output_dir", str(tmp_path)]) == 0
+    lines = (tmp_path / "scan.csv").read_text().splitlines()
+    thetas = np.linspace(0.0, math.pi, 65)
+    expected = [
+        (format(a, ".17g"), format(b, ".17g"), format(u0, ".17g"),
+         repr(max(amp(float(t), a, b, u0).magnitude for t in thetas)))
+        for a in alphas for b in betas for u0 in u0s
+    ]
+    rows = [line.split(",") for line in lines[1:]]
+    assert [(a, b, u0, repr(float(m))) for a, b, u0, m in rows] == expected
 
 
 def test_scan_command_explicit_reference_row(tmp_path):

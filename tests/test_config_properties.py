@@ -1,11 +1,20 @@
 """Property tests for the config key table: the metadata echo parses back."""
 
+import dataclasses
 from pathlib import Path
 
 from hypothesis import given
 from hypothesis import strategies as st
 
-from kdvlab.config import GAMMA_MODES, SCHEMES, RunConfig, parse_config
+from kdvlab.config import (
+    GAMMA_MODES,
+    REFINE_MODES,
+    SCHEMES,
+    ConvergeConfig,
+    RunConfig,
+    parse_config,
+    parse_converge_config,
+)
 
 positive = st.floats(min_value=1e-300, max_value=1e300, allow_nan=False)
 # '#' and line breaks are reserved by the file format, and values are
@@ -48,3 +57,25 @@ def test_run_echo_round_trips(cfg):
     assert parse_config("\n".join(lines)) == cfg
     # the same settings given as command-line override pairs
     assert parse_config("", [line.split(" = ", 1) for line in lines]) == cfg
+
+
+@st.composite
+def converge_configs(draw):
+    run = draw(run_configs())
+    # the study needs t_end to be a whole number of steps
+    steps = draw(st.integers(min_value=1, max_value=1000))
+    return ConvergeConfig(
+        **{f.name: getattr(run, f.name) for f in dataclasses.fields(RunConfig)
+           if f.name not in ("t_end", "snapshot_times")},
+        t_end=run.dt * steps,
+        levels=draw(st.integers(min_value=1, max_value=10**9)),
+        refine=draw(st.sampled_from(REFINE_MODES)),
+    )
+
+
+@given(converge_configs())
+def test_converge_echo_round_trips(cfg):
+    cfg.validate()
+    lines = cfg.echo_lines()
+    assert parse_converge_config("\n".join(lines)) == cfg
+    assert parse_converge_config("", [line.split(" = ", 1) for line in lines]) == cfg

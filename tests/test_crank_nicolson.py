@@ -279,7 +279,7 @@ def test_demo_pipeline_with_normalization_completes():
 
     ic = appendix_profile(g)
     cfg = CnConfig(
-        params=SchemeParams.from_grid(g, 0.01),
+        params=SchemeParams(dx=g.dx, dt=0.01),
         gamma_mode=GammaMode.FROZEN_MIDPOINT,
         paper_normalization=True,
     )

@@ -110,7 +110,7 @@ def test_scheme_params_ratios():
     p = SchemeParams(dx=0.01, dt=0.01)
     assert p.alpha == 0.01 / 0.01**3
     assert p.beta == 1.0
-    q = SchemeParams.from_alpha_beta(1000.0, 1.0)
+    q = SchemeParams(dx=math.sqrt(1e-3), dt=math.sqrt(1e-3))
     assert q.alpha == pytest.approx(1000.0, rel=1e-12)
     assert q.beta == pytest.approx(1.0, rel=1e-12)
     with pytest.raises(ValueError):
