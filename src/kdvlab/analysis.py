@@ -4,14 +4,17 @@ numerical consistency probes.
 The amplification factors insert a Fourier mode into each scheme with
 the advective coefficient frozen at a constant ``u0`` (the only
 convention under which the scheme symbol is a well-defined function of
-the mode angle ``theta = k dx``).  The symbol depends on the steps only
-through the mesh ratios ``alpha = dt/dx^3`` and ``beta = dt/dx``, so the
-factors and the stability scan take those ratios directly.  For the
-Crank-Nicolson scheme this gives a conjugate ratio
-lambda = (1 - i g)/(1 + i g), hence |lambda| = 1 identically: the
-scheme is neutrally stable, never strictly damping.
-The explicit scheme gives lambda = 1 + i g, hence |lambda| >= 1 with
-equality only where g vanishes.
+the mode angle ``theta = k dx``).  Both schemes apply one spatial
+operator (:mod:`kdvlab.crank_nicolson`), with symbol z = i g over a step;
+g depends on the steps only through the mesh ratios
+``alpha = dt/dx^3`` and ``beta = dt/dx``, so the factors and the scan
+take those ratios directly.  The explicit scheme, the theta = 0 member,
+gives lambda = 1 + z, hence |lambda| >= 1 with equality only where g
+vanishes.  Crank-Nicolson, the theta = 1/2 member, gives the conjugate
+ratio lambda = (1 + z/2)/(1 - z/2), hence |lambda| = 1 identically:
+neutrally stable, never strictly damping.  With h = g/2 it is formed as
+(c - 1) + i h c, c = 2/(1 + h^2), so where h^2 overflows c is 0 and
+lambda is -1, of modulus 1.
 
 |lambda| is numpy's ``hypot``, libm's, which is faithfully rounded: its
 last bit can differ between platforms.  The scalar factors and the
@@ -93,15 +96,20 @@ class AmplificationPoint:
     magnitude: float
 
 
-def _cn_symbol_g(sin1, sin2, alpha: float, beta: float, u0: float):
-    """CN symbol's g from sin(theta) and sin(2 theta), scalars or arrays alike."""
-    return (alpha / 2.0) * sin2 - alpha * sin1 - (3.0 * beta / 4.0) * u0 * sin1
+def _symbol_g(sin1, sin2, alpha: float, beta: float, u0: float):
+    """g of the operator symbol z = i g at the coefficient u0, from sin(theta) and sin(2 theta).
+
+    g = 4 (gamma sin theta - quarter sin 2 theta) at the operator's weights,
+    summed term by term; scalars or arrays alike.
+    """
+    return (3.0 * beta / 2.0) * u0 * sin1 + 2.0 * alpha * sin1 - alpha * sin2
 
 
 def _cn_lambda(g):
-    """(re, im) of lambda = (1 - ig)/(1 + ig), for a scalar or an array g."""
-    denom = 1.0 + g * g
-    return (1.0 - g * g) / denom, -2.0 * g / denom
+    """(re, im) of lambda = (1 + ih)/(1 - ih), h = g/2, for a scalar or an array g."""
+    h = 0.5 * g
+    c = 2.0 / (1.0 + h * h)
+    return c - 1.0, h * c
 
 
 def _magnitude(re, im):
@@ -110,19 +118,14 @@ def _magnitude(re, im):
         return np.hypot(re, im)
 
 
-def _explicit_symbol_g(sin1, sin2, alpha: float, beta: float, u0: float):
-    """Explicit symbol's g from sin(theta) and sin(2 theta), scalars or arrays alike."""
-    return (3.0 * beta / 2.0) * u0 * sin1 + 2.0 * alpha * sin1 - alpha * sin2
-
-
 def cn_amplification(theta: float, alpha: float, beta: float, u0: float) -> AmplificationPoint:
-    """Frozen-coefficient Crank-Nicolson symbol: lambda = (1 - ig)/(1 + ig).
+    """Frozen-coefficient Crank-Nicolson symbol: lambda = (1 + i g/2)/(1 - i g/2).
 
-    g(theta) = (alpha/2) sin 2theta - alpha sin theta
-               - (3 beta/4) u0 sin theta,
+    g(theta) = (3 beta/2) u0 sin theta + 2 alpha sin theta
+               - alpha sin 2theta,
     with the mesh ratios alpha = dt/dx^3 and beta = dt/dx.
     """
-    re, im = _cn_lambda(_cn_symbol_g(math.sin(theta), math.sin(2.0 * theta), alpha, beta, u0))
+    re, im = _cn_lambda(_symbol_g(math.sin(theta), math.sin(2.0 * theta), alpha, beta, u0))
     return AmplificationPoint(
         theta=theta, lambda_re=re, lambda_im=im, magnitude=float(_magnitude(re, im))
     )
@@ -130,13 +133,13 @@ def cn_amplification(theta: float, alpha: float, beta: float, u0: float) -> Ampl
 
 def explicit_amplification(theta: float, alpha: float, beta: float,
                            u0: float) -> AmplificationPoint:
-    """Frozen-coefficient explicit symbol: lambda = 1 + ig.
+    """Frozen-coefficient explicit symbol: lambda = 1 + i g.
 
     g(theta) = (3 beta/2) u0 sin theta + 2 alpha sin theta
                - alpha sin 2theta,
     with the mesh ratios alpha = dt/dx^3 and beta = dt/dx.
     """
-    g = _explicit_symbol_g(math.sin(theta), math.sin(2.0 * theta), alpha, beta, u0)
+    g = _symbol_g(math.sin(theta), math.sin(2.0 * theta), alpha, beta, u0)
     return AmplificationPoint(
         theta=theta, lambda_re=1.0, lambda_im=g, magnitude=float(_magnitude(1.0, g))
     )
@@ -195,10 +198,8 @@ def stability_scan(
     # overflow to inf and nan passes silently, as in the scalar factors' float arithmetic
     with np.errstate(over="ignore", invalid="ignore"):
         for alpha, beta in ratios:
-            if scheme == SCHEME_CN:
-                mag = _magnitude(*_cn_lambda(_cn_symbol_g(sin1, sin2, alpha, beta, u0_column)))
-            else:
-                mag = _magnitude(1.0, _explicit_symbol_g(sin1, sin2, alpha, beta, u0_column))
+            g = _symbol_g(sin1, sin2, alpha, beta, u0_column)
+            mag = _magnitude(*_cn_lambda(g)) if scheme == SCHEME_CN else _magnitude(1.0, g)
             # Python's max over theta in order: nan when the first angle's
             # magnitude is nan, else the largest magnitude that is not nan
             worst = np.where(np.isnan(mag[:, 0]), np.nan, np.fmax.reduce(mag, axis=1))

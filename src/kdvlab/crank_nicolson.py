@@ -1,12 +1,16 @@
-"""Crank-Nicolson solvers for the KdV equation.
+"""Crank-Nicolson solvers for the KdV equation, and the one spatial
+operator behind every scheme.
 
-Spatial operators are averaged over the two time levels.  Every variant
-solves A U(t+dt) = B U(t), where row i of A has bands
-(-alpha/4, +gamma_i, 1, -gamma_i, +alpha/4), B = 2I - A and
-gamma_i = alpha/2 + (3 beta/8) c_i.  The variants differ only in the
-advective coefficient c: the lagged scheme takes c = u^n (one solve per
-step); the implicit scheme takes the time midpoint c = (u^n + g)/2 and
-resolves the guess g by Picard iteration from g = u^n.
+:func:`_weights` gives the operator at an advective coefficient c: u_xxx
+and c u_x by centered differences, row weights
+gamma_i = alpha/2 + (3 beta/8) c_i and outer weight alpha/4.  Row i of A
+has bands (-alpha/4, +gamma_i, 1, -gamma_i, +alpha/4), and B = 2I - A.
+This is the theta = 1/2 member of a theta-scheme;
+:func:`~kdvlab.explicit.explicit_step` is its theta = 0 member, B at
+twice the weights.  The CN variants differ only in c: the lagged scheme
+takes c = u^n (one solve per step); the implicit scheme takes the time
+midpoint c = (u^n + g)/2 and resolves the guess g by Picard iteration
+from g = u^n.
 
 ``gamma_mode`` varies c per row or freezes it at its domain-midpoint
 value.  Frozen, A = I + K with K exactly skew-symmetric, so each solve
@@ -92,21 +96,24 @@ class CnConfig:
     paper_normalization: bool = False
 
 
-def _quarter(u: WaveField, cfg: CnConfig) -> float:
-    """alpha/4, the constant outer bands, once the nx - 4 interior unknowns number at least 5."""
+def _interior(u: WaveField) -> np.ndarray:
+    """The nx - 4 interior unknowns of ``u``, once they number at least 5."""
     if u.grid.nx < 9:
         raise ValueError(f"grid too small for the implicit interior system: nx={u.grid.nx} "
                          "gives fewer than 5 unknowns")
-    return cfg.params.alpha / 4.0
+    return u.values[2:-2]
 
 
-def _gamma(coef: np.ndarray, cfg: CnConfig) -> np.ndarray:
-    """Row weights alpha/2 + (3 beta/8) c_i of the interior coefficient c, per row or frozen."""
-    params = cfg.params
+def _weights(coef, alpha: float, beta: float):
+    """The operator's (gamma, quarter) = (alpha/2 + (3 beta/8) c, alpha/4) at the coefficient c."""
+    return alpha / 2.0 + (3.0 * beta / 8.0) * coef, alpha / 4.0
+
+
+def _cn_weights(coef: np.ndarray, cfg: CnConfig):
+    """:func:`_weights` at the interior coefficient c, per row or frozen at its midpoint."""
     if cfg.gamma_mode is GammaMode.FROZEN_MIDPOINT:
-        mid = float(coef[(coef.size - 1) // 2])  # interior index of x[(nx-1)//2]
-        return np.full(coef.size, params.alpha / 2.0 + (3.0 * params.beta / 8.0) * mid)
-    return params.alpha / 2.0 + (3.0 * params.beta / 8.0) * coef
+        coef = np.full(coef.size, coef[(coef.size - 1) // 2])  # interior index of x[(nx-1)//2]
+    return _weights(coef, cfg.params.alpha, cfg.params.beta)
 
 
 def _midpoint(known: np.ndarray, guess: np.ndarray) -> np.ndarray:
@@ -138,17 +145,15 @@ def _rhs(x: np.ndarray, gamma: np.ndarray, quarter: float) -> np.ndarray:
     return y
 
 
-def _matrices(
-    coef: np.ndarray, quarter: float, cfg: CnConfig
-) -> Tuple[Pentadiagonal, Pentadiagonal]:
+def _matrices(coef: np.ndarray, cfg: CnConfig) -> Tuple[Pentadiagonal, Pentadiagonal]:
     """(A, B) at the interior coefficient ``coef``: B negates A's off-diagonal bands."""
-    gamma = _gamma(coef, cfg)
+    gamma, quarter = _cn_weights(coef, cfg)
     return _lhs(gamma, quarter), _lhs(-gamma, -quarter)
 
 
 def assemble_lagged(u_n: WaveField, cfg: CnConfig) -> Tuple[Pentadiagonal, Pentadiagonal]:
     """Interior (A, B) of the lagged-coefficient scheme, at c = u^n; the step builds only A."""
-    return _matrices(u_n.values[2:-2], _quarter(u_n, cfg), cfg)
+    return _matrices(_interior(u_n), cfg)
 
 
 def assemble_implicit(
@@ -157,8 +162,7 @@ def assemble_implicit(
     """Interior (A, B) of one Picard iterate: :func:`assemble_lagged`'s at c = (u^n + guess)/2."""
     if u_guess.grid != u_n.grid:
         raise ValueError("u_guess must live on the same grid as u_n")
-    known = u_n.values[2:-2]
-    return _matrices(_midpoint(known, u_guess.values[2:-2]), _quarter(u_n, cfg), cfg)
+    return _matrices(_midpoint(_interior(u_n), u_guess.values[2:-2]), cfg)
 
 
 def _finish_step(u_n: WaveField, interior: np.ndarray, cfg: CnConfig) -> WaveField:
@@ -172,16 +176,16 @@ def _finish_step(u_n: WaveField, interior: np.ndarray, cfg: CnConfig) -> WaveFie
     return next_state(u_n, new, cfg.params.dt)
 
 
-def _solve(known: np.ndarray, coef: np.ndarray, quarter: float, cfg: CnConfig) -> np.ndarray:
+def _solve(known: np.ndarray, coef: np.ndarray, cfg: CnConfig) -> np.ndarray:
     """Solve A x = B u^n at the coefficient ``coef``; only A is built."""
-    gamma = _gamma(coef, cfg)
+    gamma, quarter = _cn_weights(coef, cfg)
     return solve_banded(_lhs(gamma, quarter), _rhs(known, gamma, quarter))
 
 
 def cn_step_lagged(u_n: WaveField, cfg: CnConfig) -> WaveField:
     """One lagged-coefficient step: solve A x = B u at c = u^n, re-pin boundaries."""
-    known = u_n.values[2:-2]
-    return _finish_step(u_n, _solve(known, known, _quarter(u_n, cfg), cfg), cfg)
+    known = _interior(u_n)
+    return _finish_step(u_n, _solve(known, known, cfg), cfg)
 
 
 def cn_step_implicit(u_n: WaveField, cfg: CnConfig) -> Tuple[WaveField, int]:
@@ -192,10 +196,9 @@ def cn_step_implicit(u_n: WaveField, cfg: CnConfig) -> Tuple[WaveField, int]:
     until the iterate changes by less than :data:`PICARD_TOL` in the sup
     norm.  Returns the converged field and the number of solves performed.
     """
-    quarter = _quarter(u_n, cfg)
-    known = guess = u_n.values[2:-2]
+    known = guess = _interior(u_n)
     for iteration in range(1, PICARD_MAX_ITERS + 1):
-        interior = _solve(known, _midpoint(known, guess), quarter, cfg)
+        interior = _solve(known, _midpoint(known, guess), cfg)
         change = float(np.max(np.abs(interior - guess)))
         if not np.isfinite(change):
             raise BlowUpError("Picard iterate became non-finite", max_value=float("inf"))

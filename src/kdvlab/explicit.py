@@ -1,13 +1,14 @@
 """Forward-in-time explicit update for the KdV equation.
 
-One step reads
+The step is the theta = 0 member of the theta-scheme whose theta = 1/2
+member is Crank-Nicolson: B of :mod:`kdvlab.crank_nicolson` at twice the
+weights, applied to the whole field.  On interior points it reads
 
     u_i(t+dt) = u_i [1 + (3 dt / 4 dx)(u_{i+1} - u_{i-1})]
-                - (dt / 2 dx^3)(u_{i+2} - 2 u_{i+1} + 2 u_{i-1} - u_{i-2})
+                - (dt / 2 dx^3)(u_{i+2} - 2 u_{i+1} + 2 u_{i-1} - u_{i-2}),
 
-on interior points; the two outermost cells at each end stay pinned to
-zero so the five-point dispersion stencil never reaches outside the
-grid.  The scheme amplifies every Fourier mode (see
+summed in B's order; the two outermost cells at each end stay pinned to
+zero.  The scheme amplifies every Fourier mode (see
 :func:`kdvlab.analysis.explicit_amplification`), so blow-up detection is
 part of the contract rather than an afterthought: runs report the step
 at which the amplitude threshold was crossed.
@@ -19,34 +20,22 @@ from typing import Sequence
 
 import numpy as np
 
+from .crank_nicolson import _rhs, _weights
 from .evolution import RunResult, evolve, next_state
 from .model import SchemeParams, TimeGrid, WaveField
 
 __all__ = ["explicit_step", "run_explicit"]
 
 
-def explicit_step(u: WaveField, params: SchemeParams, nonlinear: bool = True) -> WaveField:
-    """Advance one explicit step through :func:`~kdvlab.evolution.next_state`.
-
-    ``nonlinear=False`` drops the advective product and leaves only the
-    linear dispersion update (a hook for linearity checks).
-    """
+def explicit_step(u: WaveField, params: SchemeParams) -> WaveField:
+    """Advance one explicit step through :func:`~kdvlab.evolution.next_state`; overflow is a blow-up."""
     v = u.values
-    nx = u.grid.nx
-    dt = params.dt
-    dx = params.dx
-    c_adv = 0.75 * dt / dx
-    c_disp = 0.5 * dt / dx**3
-
-    new = np.zeros(nx)
-    center = v[2:-2]
-    diff1 = v[3:-1] - v[1:-3]
-    diff3 = v[4:] - 2.0 * v[3:-1] + 2.0 * v[1:-3] - v[:-4]
-    if nonlinear:
-        new[2:-2] = center * (1.0 + c_adv * diff1) - c_disp * diff3
-    else:
-        new[2:-2] = center - c_disp * diff3
-    return next_state(u, new, dt)
+    gamma, quarter = _weights(v, params.alpha, params.beta)
+    new = np.zeros(u.grid.nx)
+    # B on the full field, so that rows 2, 3, nx-4 and nx-3 read the two outer
+    # cells per end, which an initial state need not hold at zero
+    new[2:-2] = _rhs(v, 2.0 * gamma, 2.0 * quarter)[2:-2]
+    return next_state(u, new, params.dt)
 
 
 def run_explicit(

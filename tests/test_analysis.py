@@ -17,6 +17,7 @@ from kdvlab.analysis import (
     stability_scan,
     truncation_error,
 )
+from kdvlab.crank_nicolson import _rhs, _weights
 from kdvlab.model import Grid1D, SchemeParams, traveling_wave_callable
 
 
@@ -110,6 +111,33 @@ def test_cn_magnitude_is_one_everywhere():
         assert abs(a.magnitude - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("alpha, beta, u0", [(0.01, 0.1, -1.0), (1.0, 1.0, 0.5),
+                                              (100.0, 10.0, 2.0), (1e4, 1.0, 0.0)])
+def test_symbol_is_the_operators_on_a_fourier_mode(alpha, beta, u0):
+    # B at a constant coefficient u0 maps the mode e^{ij theta} to (1 + z) times
+    # it on interior rows at the explicit step's weights, and to (1 + z/2) times
+    # it at CN's, with z = i g the one symbol both amplification factors use;
+    # the error is relative to the sum of a row's |entries|, the scale of its rounding
+    j = np.arange(400)
+    gamma, quarter = _weights(np.full(j.size, u0), alpha, beta)
+    for theta in np.linspace(0.05, math.pi - 0.05, 9):
+        mode = np.exp(1j * theta * j)
+        z = 1j * analysis._symbol_g(math.sin(theta), math.sin(2.0 * theta), alpha, beta, u0)
+        for factor, scale in ((1.0 + z, 2.0), (1.0 + z / 2.0, 1.0)):
+            rows = _rhs(mode, scale * gamma, scale * quarter)[2:-2]
+            row_sum = 1.0 + 2.0 * scale * (abs(gamma[0]) + quarter)
+            assert np.max(np.abs(rows - factor * mode[2:-2])) <= 1e-12 * row_sum
+
+
+@pytest.mark.parametrize("alpha", [1e200, 1e300])
+def test_cn_magnitude_is_one_where_g_squared_would_overflow(alpha):
+    # |g| reaches about 2.6 alpha, past the 1.34e154 where g**2 overflows
+    thetas = np.linspace(0.0, math.pi, 257)
+    mags = [cn_amplification(float(t), alpha, 1.0, 0.0).magnitude for t in thetas]
+    assert all(abs(m - 1.0) <= 2.0**-52 for m in mags)  # finite, and 1 to the last ulp
+    assert stability_scan("cn", [(alpha, 1.0)], [0.0], thetas)[0].max_magnitude == max(mags)
+
+
 def test_explicit_amplification_reference_point():
     assert explicit_amplification(0.0, 0.1, 0.5, 1.2).magnitude == 1.0
     a = explicit_amplification(math.pi / 2.0, 0.1, 0.5, 0.0)
@@ -191,8 +219,8 @@ def test_scan_rows_are_the_max_of_the_scalar_factors(scheme, amp):
         assert [row.max_magnitude for row in rows] == expected
 
 
-# alpha or beta of 1e150, 1e200 or 1e250, or u0 of +-1e308, make g, or its
-# square, inf or nan, so those rows take every theta in order; 1e-300 has a
+# alpha or beta of 1e150, 1e200 or 1e250, or u0 of +-1e308, make g inf or
+# nan, so those rows take every theta in order; 1e-300 has a
 # dx**3 that underflows, which the scan never forms
 _RATIOS = st.one_of(st.floats(1e-3, 1e5), st.sampled_from([1e-300, 1e150, 1e200, 1e250]))
 _U0 = st.one_of(st.floats(-2.0, 2.0), st.sampled_from([1e308, -1e308, 0.0, -0.0]),
@@ -222,8 +250,9 @@ def _scan_grids(draw):
 @example(grid=([(1.0, 1.0)], [0.5], []))
 # the first angle's magnitude is nan in both schemes (inf * sin 0), so the row is nan
 @example(grid=([(1.0, 1e200)], [1e308], [0.0, 1.0]))
-# nan after a magnitude that is not nan: CN's g**2 overflows at theta 1 after two
-# finite magnitudes; the explicit g is inf, nan (inf * sin 0), inf; Python's max skips it
+# nan after a magnitude that is not nan: the explicit g is inf, nan (inf * sin 0), inf,
+# and Python's max skips the nan; CN's lambda is nan where g is not finite, and has |lambda|
+# 1 at theta 1 of the first pair, where g = 1.26e308 and g**2 would overflow
 @example(grid=([(1.0, 1.0), (1.0, 1e200)], [1e308], [1e-300, 0.0, 1.0]))
 def test_scan_rows_are_exactly_the_scalar_factors_max(scheme, amp, grid):
     ratios, u0_list, thetas = grid

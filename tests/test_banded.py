@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kdvlab import banded
-from kdvlab.analysis import _cn_symbol_g
+from kdvlab.analysis import _symbol_g
 from kdvlab.banded import (
     Pentadiagonal,
     PowerIterationReport,
@@ -619,11 +619,11 @@ def test_gram_estimate_stays_below_symbol_bound(nx):
 
 @pytest.mark.parametrize("nx", [54, 4001])
 def test_symbol_bound_matches_the_cn_symbol(nx):
-    # A's symbol is 1 + i g with g the CN amplification's, at u0 = u_mid
+    # A's symbol is 1 - z/2 = 1 - i g/2, with z = i g the operator symbol at u0 = u_mid
     A, u, cfg = _default_lagged(nx)
     u_mid = u.values[(u.grid.nx - 1) // 2]
     params = cfg.scheme_params()
-    _, sup = _symbol_sup(lambda t: _cn_symbol_g(np.sin(t), np.sin(2.0 * t), params.alpha, params.beta, u_mid) / 2.0)
+    _, sup = _symbol_sup(lambda t: -_symbol_g(np.sin(t), np.sin(2.0 * t), params.alpha, params.beta, u_mid) / 4.0)
     U = symbol_bound(A)
     assert sup <= U
     assert U - sup <= 1e-12 * sup

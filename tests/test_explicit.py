@@ -5,24 +5,43 @@ import pytest
 
 from kdvlab import crank_nicolson, evolution, explicit, model
 from kdvlab.errors import BlowUpError
-from kdvlab.crank_nicolson import CnConfig, LinearizationKind, cn_step_implicit, cn_step_lagged
+from kdvlab.crank_nicolson import (CnConfig, LinearizationKind, _rhs, _weights, cn_step_implicit,
+                                   cn_step_lagged)
 from kdvlab.evolution import MAX_AMPLITUDE, evolve, next_state
 from kdvlab.explicit import explicit_step, run_explicit
 from kdvlab.model import Grid1D, SchemeParams, TimeGrid, WaveField, appendix_profile
 
 
 def transcribed_step(values, dt, dx):
-    """Independent per-point transcription of the explicit update rule."""
+    """Independent per-point transcription of the explicit update, in the
+    shared operator's order: row i of B at twice the CN weights."""
+    u = np.asarray(values, dtype=float)
+    alpha, beta = dt / dx**3, dt / dx
+    q = alpha / 2.0
+    out = np.zeros(len(u))
+    for i in range(2, len(u) - 2):
+        g = 2.0 * (alpha / 2.0 + (3.0 * beta / 8.0) * u[i])
+        out[i] = (((u[i] - g * u[i - 1]) + q * u[i - 2]) + g * u[i + 1]) - q * u[i + 2]
+    return out
+
+
+def factored_step(values, dt, dx):
+    """The update as u_i (1 + c1 (u_{i+1} - u_{i-1})) - c2 (u_{i+2} - 2 u_{i+1} + ...),
+    and the sum of the magnitudes of its terms per row."""
     u = np.asarray(values, dtype=float)
     nx = len(u)
     c1 = 0.75 * dt / dx
     c2 = 0.5 * dt / dx**3
     out = np.zeros(nx)
+    scale = np.zeros(nx)
     for i in range(2, nx - 2):
         out[i] = u[i] * (1.0 + c1 * (u[i + 1] - u[i - 1])) - c2 * (
             u[i + 2] - 2.0 * u[i + 1] + 2.0 * u[i - 1] - u[i - 2]
         )
-    return out
+        scale[i] = abs(u[i]) * (1.0 + c1 * (abs(u[i + 1]) + abs(u[i - 1]))) + c2 * (
+            abs(u[i + 2]) + 2.0 * abs(u[i + 1]) + 2.0 * abs(u[i - 1]) + abs(u[i - 2])
+        )
+    return out, scale
 
 
 def make_cfg(dx, dt):
@@ -57,21 +76,28 @@ def test_matches_independent_transcription():
         out = explicit_step(WaveField(g, 0.0, u), cfg)
         oracle = transcribed_step(u, 1e-4, 0.1)
         assert np.array_equal(out.values, oracle)
+        # the factored form rounds in another order: with u = 2**-53, each form
+        # is within about 9u (B's order) and 7u (factored) times the sum of the
+        # terms' magnitudes of the exact row, so they agree within 20u times it
+        factored, scale = factored_step(u, 1e-4, 0.1)
+        assert np.all(np.abs(out.values - factored) <= 20 * 2.0**-53 * scale)
 
 
 def test_linear_part_superposition():
+    # the shared operator at coefficient 0: the explicit update without u u_x
     rng = np.random.default_rng(32)
     g = Grid1D(-2.0, 2.0, 41)
     cfg = make_cfg(g.dx, 1e-5)
-    u = WaveField(g, 0.0, rng.standard_normal(41))
-    w = WaveField(g, 0.0, rng.standard_normal(41))
+    gamma, quarter = _weights(np.zeros(41), cfg.alpha, cfg.beta)
+
+    def linear_step(values):
+        return _rhs(values, 2.0 * gamma, 2.0 * quarter)[2:-2]
+
+    u = rng.standard_normal(41)
+    w = rng.standard_normal(41)
     a, b = 1.7, -0.4
-    combo = WaveField(g, 0.0, a * u.values + b * w.values)
-    lhs = explicit_step(combo, cfg, nonlinear=False).values
-    rhs = (
-        a * explicit_step(u, cfg, nonlinear=False).values
-        + b * explicit_step(w, cfg, nonlinear=False).values
-    )
+    lhs = linear_step(a * u + b * w)
+    rhs = a * linear_step(u) + b * linear_step(w)
     assert np.allclose(lhs, rhs, rtol=1e-12, atol=1e-14)
 
 
@@ -87,12 +113,13 @@ def test_boundary_cells_stay_pinned():
 
 
 def test_blow_up_raises_with_magnitude():
-    # a constant field steps to itself on the interior: max |u| stays 2e6
+    # a constant field steps to itself on the interior up to rounding: summed in
+    # B's order, u - g u + q u + g u - q u gives 2000000.0000002384, not 2e6
     g = Grid1D(0.0, 1.0, 11)
     f = WaveField(g, 0.0, np.full(11, 2e6))
     with pytest.raises(BlowUpError) as err:
         explicit_step(f, make_cfg(g.dx, 1.0))
-    assert err.value.max_value == 2e6
+    assert err.value.max_value == np.max(np.abs(transcribed_step(f.values, 1.0, g.dx)))
     assert str(err.value) == "amplitude threshold 1e+06 exceeded (max |u| = 2e+06)"
 
 
