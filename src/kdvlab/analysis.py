@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from typing import Callable, Sequence, Tuple
 
 import numpy as np
@@ -35,6 +34,7 @@ from .crank_nicolson import CnConfig, GammaMode, cn_step_lagged
 from .errors import OracleError
 from .explicit import explicit_step
 from .model import Grid1D, SchemeParams, WaveField, pde_residual_pointwise
+from .record import Frozen
 
 __all__ = [
     "StencilKind",
@@ -86,14 +86,12 @@ def apply_stencil(kind: StencilKind, u: Sequence[float], dx: float, i: int) -> f
     return float(u[i] * (u[i + 1] - u[i - 1]) / (2.0 * dx))
 
 
-@dataclass(frozen=True)
-class AmplificationPoint:
+class AmplificationPoint(Frozen):
     """Scheme symbol lambda at one mode angle theta = k dx."""
 
-    theta: float
-    lambda_re: float
-    lambda_im: float
-    magnitude: float
+    def __init__(self, theta: float, lambda_re: float, lambda_im: float, magnitude: float):
+        self.__dict__.update(theta=theta, lambda_re=lambda_re, lambda_im=lambda_im,
+                             magnitude=magnitude)
 
 
 def _symbol_g(sin1, sin2, alpha: float, beta: float, u0: float):
@@ -148,15 +146,13 @@ def explicit_amplification(theta: float, alpha: float, beta: float,
 SCHEME_CN = "cn"
 SCHEME_EXPLICIT = "explicit"
 
-@dataclass(frozen=True)
-class ScanRow:
+
+class ScanRow(Frozen):
     """One stability-scan record: the mesh ratios and u0 as given, and the
     worst |lambda| over the sampled angles."""
 
-    alpha: float
-    beta: float
-    u0: float
-    max_magnitude: float
+    def __init__(self, alpha: float, beta: float, u0: float, max_magnitude: float):
+        self.__dict__.update(alpha=alpha, beta=beta, u0=u0, max_magnitude=max_magnitude)
 
 
 def stability_scan(

@@ -19,13 +19,13 @@ import ctypes
 import math
 import os
 import threading
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 from numpy.linalg import _umath_linalg
 
 from .errors import SingularMatrixError
+from .record import Frozen
 
 __all__ = [
     "Pentadiagonal",
@@ -127,8 +127,7 @@ class Pentadiagonal:
         )
 
 
-@dataclass(frozen=True)
-class PowerIterationReport:
+class PowerIterationReport(Frozen):
     """Outcome of a power-iteration probe.
 
     ``estimate`` is the Rayleigh quotient at termination, ``residual``
@@ -139,19 +138,16 @@ class PowerIterationReport:
     not converged.
     """
 
-    estimate: float
-    iterations: int
-    converged: bool
-    residual: float
+    def __init__(self, estimate: float, iterations: int, converged: bool, residual: float):
+        self.__dict__.update(estimate=estimate, iterations=iterations, converged=converged,
+                             residual=residual)
 
 
-@dataclass(frozen=True)
-class CertificateReport:
+class CertificateReport(Frozen):
     """Invertibility certificate: ``method`` is how it was established."""
 
-    method: str
-    certified: bool
-    detail: str
+    def __init__(self, method: str, certified: bool, detail: str):
+        self.__dict__.update(method=method, certified=certified, detail=detail)
 
 
 def matvec(P: Pentadiagonal, x) -> np.ndarray:

@@ -3,14 +3,15 @@
 Each subcommand reads an optional ``--config`` file of ``key = value``
 lines and accepts ``--<key> <value>`` overrides for the same keys, taken
 verbatim and applied after the file's lines.
-Exit codes: 0 completed, 1 usage or I/O error, 2 blow-up (outputs are
-still written).
+Exit codes: 0 completed, 1 usage or I/O error (in ``converge`` also a
+solver failure), 2 blow-up, 3 solver failure: a singular matrix or a
+Picard iteration that did not converge.  ``run`` writes its outputs in
+either case, with ``outcome = blow-up`` or ``outcome = solver-failure``.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import math
 import sys
@@ -39,8 +40,8 @@ from .config import (
     parse_scan_config,
 )
 from .crank_nicolson import assemble_lagged, run_cn
-from .errors import ConfigError, KdvLabError
-from .evolution import RunResult
+from .errors import ConfigError, FixedPointError, KdvLabError, SingularMatrixError
+from .evolution import OUTCOME_BLOW_UP, OUTCOME_COMPLETED, OUTCOME_SOLVER_FAILURE, RunResult
 from .explicit import run_explicit
 from .model import Grid1D
 from .runio import _fmt, write_run_outputs
@@ -57,6 +58,10 @@ __all__ = [
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_BLOW_UP = 2
+EXIT_SOLVER_FAILURE = 3
+
+EXIT_CODES = {OUTCOME_COMPLETED: EXIT_OK, OUTCOME_BLOW_UP: EXIT_BLOW_UP,
+              OUTCOME_SOLVER_FAILURE: EXIT_SOLVER_FAILURE}
 
 
 def execute_run(cfg: RunConfig) -> RunResult:
@@ -69,10 +74,14 @@ def execute_run(cfg: RunConfig) -> RunResult:
 
 
 def cmd_run(cfg: RunConfig) -> int:
-    """Execute a run and write snapshot CSVs plus ``run.meta``."""
-    result = execute_run(cfg)
+    """Execute a run and write snapshot CSVs plus ``run.meta``; the exit code names the outcome."""
+    try:
+        result = execute_run(cfg)
+    except (SingularMatrixError, FixedPointError) as exc:
+        result = exc.result
+        print(f"kdvlab run: solver failure: {exc}", file=sys.stderr)
     write_run_outputs(cfg.output_dir, cfg.echo_lines(), result)
-    return EXIT_OK if result.completed else EXIT_BLOW_UP
+    return EXIT_CODES[result.outcome]
 
 
 def cmd_scan(cfg: ScanConfig) -> int:
@@ -160,9 +169,8 @@ def converge_study(cfg: ConvergeConfig):
     hs = []
     for level in range(cfg.levels):
         grid, dt, h = _level_setup(cfg, level)
-        level_cfg = dataclasses.replace(
-            cfg, nx=grid.nx, dt=dt, snapshot_times=(cfg.t_end,)
-        )
+        level_cfg = type(cfg)(**{**vars(cfg), "nx": grid.nx, "dt": dt,
+                                 "snapshot_times": (cfg.t_end,)})
         level_cfg.validate()
         result = execute_run(level_cfg)
         if not result.completed:

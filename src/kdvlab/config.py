@@ -15,9 +15,9 @@ t = 1.01 ... 8.01.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, ClassVar, Dict, Iterable, NamedTuple, Optional, Tuple
+from types import MappingProxyType
+from typing import Callable, Dict, Iterable, Optional, Tuple
 
 from .crank_nicolson import CnConfig, GammaMode, LinearizationKind
 from .errors import ConfigError
@@ -30,6 +30,7 @@ from .model import (
     initial_condition,
     traveling_wave,
 )
+from .record import Frozen, Record
 from .runio import read_field_csv
 
 __all__ = [
@@ -52,24 +53,31 @@ REFINE_MODES = ("time", "space", "both")
 DEFAULT_SNAPSHOTS = tuple(k + 0.01 for k in range(1, 9))
 
 
-@dataclass
-class RunConfig:
+class _Config(Record):
+    """Base of the subcommand configurations: mutable fields, compared by value.
+
+    ``defaults`` maps each field to its default, read-only; the
+    constructor takes fields by keyword.  ``command`` names the
+    subcommand whose keys :data:`KEYS` lets the config read.
+    """
+
+    def __init__(self, **fields):
+        unknown = fields.keys() - self.defaults.keys()
+        if unknown:
+            raise TypeError(f"{type(self).__name__} has no fields {sorted(unknown)}")
+        self.__dict__.update(self.defaults, **fields)
+
+
+class RunConfig(_Config):
     """Fully validated configuration for one time-stepped run."""
 
-    command: ClassVar[str] = "run"
-
-    scheme: str = "cn-lagged"
-    gamma_mode: str = "frozen-midpoint"
-    x_min: float = -20.0
-    x_max: float = 20.0
-    nx: int = 4001
-    dt: float = 0.01
-    t_end: float = 10.0
-    ic_kind: str = "appendix"
-    ic_value: Optional[object] = None
-    snapshot_times: Tuple[float, ...] = DEFAULT_SNAPSHOTS
-    paper_normalization: bool = False
-    output_dir: Path = Path("out")
+    command = "run"
+    defaults = MappingProxyType(dict(
+        scheme="cn-lagged", gamma_mode="frozen-midpoint",
+        x_min=-20.0, x_max=20.0, nx=4001, dt=0.01, t_end=10.0,
+        ic_kind="appendix", ic_value=None,  # the speed, or the path of ``ic = file``
+        snapshot_times=DEFAULT_SNAPSHOTS, paper_normalization=False, output_dir=Path("out"),
+    ))
 
     @property
     def ic(self) -> Tuple[str, Optional[object]]:
@@ -158,15 +166,12 @@ class RunConfig:
         ]
 
 
-@dataclass
 class EigenConfig(RunConfig):
     """Run configuration plus the power-iteration controls of the eigen probe."""
 
-    command: ClassVar[str] = "eigen"
-
-    snapshot_times: Tuple[float, ...] = ()
-    power_tol: float = 1e-10
-    power_max_iters: int = 10_000
+    command = "eigen"
+    defaults = MappingProxyType(dict(RunConfig.defaults, snapshot_times=(), power_tol=1e-10,
+                                     power_max_iters=10_000))
 
     def validate(self) -> None:
         super().validate()
@@ -178,18 +183,12 @@ class EigenConfig(RunConfig):
             )
 
 
-@dataclass
-class ScanConfig:
+class ScanConfig(_Config):
     """Parameter grids for a stability scan."""
 
-    command: ClassVar[str] = "scan"
-
-    scheme: str = "cn"
-    alpha_list: Tuple[float, ...] = (1000.0,)
-    beta_list: Tuple[float, ...] = (1.0,)
-    u0_list: Tuple[float, ...] = (0.0,)
-    n_theta: int = 257
-    output_dir: Path = Path("out")
+    command = "scan"
+    defaults = MappingProxyType(dict(scheme="cn", alpha_list=(1000.0,), beta_list=(1.0,),
+                                     u0_list=(0.0,), n_theta=257, output_dir=Path("out")))
 
     def validate(self) -> None:
         if self.scheme not in ("cn", "explicit"):
@@ -204,23 +203,15 @@ class ScanConfig:
             raise ConfigError(f"n_theta must be >= 2, got {self.n_theta}")
 
 
-@dataclass
 class ConvergeConfig(RunConfig):
     """Run configuration plus refinement controls for a convergence study."""
 
-    command: ClassVar[str] = "converge"
-
-    levels: int = 3
-    refine: str = "both"
-    snapshot_times: Tuple[float, ...] = ()
-    ic_kind: str = "traveling"
-    ic_value: Optional[object] = 0.5
-    gamma_mode: str = "row-varying"
-    x_min: float = -16.0
-    x_max: float = 20.0
-    nx: int = 451
-    dt: float = 0.02
-    t_end: float = 1.0
+    command = "converge"
+    defaults = MappingProxyType(dict(
+        RunConfig.defaults, levels=3, refine="both", snapshot_times=(),
+        ic_kind="traveling", ic_value=0.5, gamma_mode="row-varying",
+        x_min=-16.0, x_max=20.0, nx=451, dt=0.02, t_end=1.0,
+    ))
 
     def validate(self) -> None:
         super().validate()
@@ -290,11 +281,14 @@ def _show_ic(kind_value: Tuple[str, Optional[object]]) -> str:
     return kind if value is None else f"{kind} {value}"
 
 
-class _Kind(NamedTuple):
-    """How one key's value is parsed from text and echoed back."""
+class _Kind(Frozen):
+    """How one key's value is parsed from text and echoed back.
 
-    parse: Callable[[str, str], object]  # (value text, error context) -> value
-    show: Callable[[object], str]
+    ``parse(value text, error context)`` gives the value, ``show(value)`` its text.
+    """
+
+    def __init__(self, parse: Callable[[str, str], object], show: Callable[[object], str]):
+        self.__dict__.update(parse=parse, show=show)
 
 
 _TEXT = _Kind(lambda value, where: value, str)

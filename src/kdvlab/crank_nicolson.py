@@ -25,15 +25,15 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 import numpy as np
 
 from .banded import Pentadiagonal, solve_banded
-from .errors import BlowUpError, FixedPointError
+from .errors import BlowUpError, FixedPointError, SingularMatrixError
 from .evolution import RunResult, evolve, next_state
 from .model import SchemeParams, TimeGrid, WaveField
+from .record import Frozen
 
 __all__ = [
     "LinearizationKind",
@@ -80,8 +80,7 @@ PICARD_TOL = 1e-10
 PICARD_MAX_ITERS = 50
 
 
-@dataclass(frozen=True)
-class CnConfig:
+class CnConfig(Frozen):
     """Solver configuration for the Crank-Nicolson schemes.
 
     ``paper_normalization`` divides the solved interior state by its max
@@ -90,10 +89,11 @@ class CnConfig:
     by default and should stay an explicit choice.
     """
 
-    params: SchemeParams
-    linearization: LinearizationKind = LinearizationKind.LAGGED_COEFFICIENT
-    gamma_mode: GammaMode = GammaMode.ROW_VARYING
-    paper_normalization: bool = False
+    def __init__(self, params: SchemeParams,
+                 linearization: LinearizationKind = LinearizationKind.LAGGED_COEFFICIENT,
+                 gamma_mode: GammaMode = GammaMode.ROW_VARYING, paper_normalization: bool = False):
+        self.__dict__.update(params=params, linearization=linearization, gamma_mode=gamma_mode,
+                             paper_normalization=paper_normalization)
 
 
 def _interior(u: WaveField) -> np.ndarray:
@@ -234,7 +234,13 @@ def run_cn(
         solves.append(count)
         return field
 
-    result = evolve(ic, time, snapshot_times, step)
-    if cfg.linearization is LinearizationKind.IMPLICIT_COEFFICIENT:
-        result.picard_solves = tuple(solves)
-    return result
+    def record_solves(result: RunResult) -> RunResult:
+        if cfg.linearization is LinearizationKind.IMPLICIT_COEFFICIENT:
+            result.picard_solves = tuple(solves)
+        return result
+
+    try:
+        return record_solves(evolve(ic, time, snapshot_times, step))
+    except (SingularMatrixError, FixedPointError) as exc:
+        record_solves(exc.result)
+        raise

@@ -3,19 +3,20 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .errors import BlowUpError, FixedPointError, SingularMatrixError
 from .model import TimeGrid, WaveField, mass
+from .record import Frozen, Record
 
 __all__ = ["MAX_AMPLITUDE", "SnapshotDiagnostics", "RunResult", "evolve", "next_state",
            "peak_abscissa"]
 
 OUTCOME_COMPLETED = "completed"
 OUTCOME_BLOW_UP = "blow-up"
+OUTCOME_SOLVER_FAILURE = "solver-failure"
 
 # A state with max |u| above this, or not finite, ends the run as a blow-up.
 MAX_AMPLITUDE = 1e6
@@ -61,14 +62,11 @@ def peak_abscissa(field: WaveField) -> float:
     return float(x[i] + shift * field.grid.dx)
 
 
-@dataclass(frozen=True)
-class SnapshotDiagnostics:
+class SnapshotDiagnostics(Frozen):
     """Per-snapshot summary: integral, peak magnitude, and peak location."""
 
-    time: float
-    mass: float
-    max_abs: float
-    peak_x: float
+    def __init__(self, time: float, mass: float, max_abs: float, peak_x: float):
+        self.__dict__.update(time=time, mass=mass, max_abs=max_abs, peak_x=peak_x)
 
     @classmethod
     def of(cls, field: WaveField) -> "SnapshotDiagnostics":
@@ -80,22 +78,23 @@ class SnapshotDiagnostics:
         )
 
 
-@dataclass
-class RunResult:
+class RunResult(Record):
     """Ordered snapshots plus diagnostics for one time-stepped run.
 
-    ``outcome`` is ``"completed"`` or ``"blow-up"``; a blow-up carries
-    the offending step index and whatever snapshots were recorded before
-    it.  On completion the snapshot count equals the requested count.
-    ``picard_solves`` holds the Picard solves of each completed step,
-    or None for a scheme without Picard iteration.
+    ``outcome`` is ``"completed"``, ``"blow-up"`` or ``"solver-failure"``.
+    A blow-up carries the offending step index, a solver failure its step
+    and the solver's message, and both whatever snapshots were recorded
+    before it.  On completion the snapshot count equals the requested
+    count.  ``picard_solves`` holds the Picard solves of each completed
+    step, or None for a scheme without Picard iteration.
     """
 
-    snapshots: list
-    diagnostics: list
-    outcome: str
-    blow_up_step: Optional[int] = None
-    picard_solves: Optional[tuple] = None
+    def __init__(self, snapshots: list, diagnostics: list, outcome: str,
+                 blow_up_step: Optional[int] = None, picard_solves: Optional[tuple] = None,
+                 failure_step: Optional[int] = None, failure: Optional[str] = None):
+        self.__dict__.update(snapshots=snapshots, diagnostics=diagnostics, outcome=outcome,
+                             blow_up_step=blow_up_step, picard_solves=picard_solves,
+                             failure_step=failure_step, failure=failure)
 
     @property
     def completed(self) -> bool:
@@ -113,8 +112,10 @@ def evolve(
     Each requested time is satisfied by the first state whose time is at
     or after it (the initial state counts).  Requested times must be
     ascending and inside [0, t_end].  Blow-up raised by ``step`` ends
-    the run and is recorded as the outcome, not re-raised; any other
-    solver error propagates with the step index attached.
+    the run and is recorded as the outcome, not re-raised.  A
+    :class:`SingularMatrixError` or :class:`FixedPointError` propagates
+    with the step index prefixed to its message and the partial result,
+    outcome ``"solver-failure"``, attached as its ``result``.
     """
     requested = tuple(float(t) for t in snapshot_times)
     for a, b in zip(requested, requested[1:]):
@@ -152,6 +153,8 @@ def evolve(
         except BlowUpError:
             return RunResult(snapshots, diagnostics, OUTCOME_BLOW_UP, blow_up_step=n)
         except (SingularMatrixError, FixedPointError) as exc:
+            exc.result = RunResult(snapshots, diagnostics, OUTCOME_SOLVER_FAILURE,
+                                   failure_step=n, failure=str(exc))
             exc.args = (f"step {n}: {exc}",)
             raise
         record_due(state, ic.time + n * time.dt)

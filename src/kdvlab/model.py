@@ -13,11 +13,11 @@ residual oracle that is independent of every solver stencil.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import OracleError
+from .record import Frozen
 
 __all__ = [
     "Grid1D",
@@ -36,23 +36,19 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Grid1D:
+class Grid1D(Frozen):
     """Uniform spatial grid with inclusive endpoints.
 
     ``nx`` must be at least 7 so that the five-point stencils have room
     for two ghost-free interior neighbours on each side.
     """
 
-    x_min: float
-    x_max: float
-    nx: int
-
-    def __post_init__(self):
-        if not self.x_max > self.x_min:
-            raise ValueError(f"x_max ({self.x_max}) must exceed x_min ({self.x_min})")
-        if self.nx < 7:
-            raise ValueError(f"nx must be >= 7, got {self.nx}")
+    def __init__(self, x_min: float, x_max: float, nx: int):
+        if not x_max > x_min:
+            raise ValueError(f"x_max ({x_max}) must exceed x_min ({x_min})")
+        if nx < 7:
+            raise ValueError(f"nx must be >= 7, got {nx}")
+        self.__dict__.update(x_min=x_min, x_max=x_max, nx=nx)
 
     @property
     def dx(self) -> float:
@@ -63,8 +59,7 @@ class Grid1D:
         return np.linspace(self.x_min, self.x_max, self.nx)
 
 
-@dataclass(frozen=True)
-class TimeGrid:
+class TimeGrid(Frozen):
     """Uniform time levels t_n = n*dt for n = 0 .. nt-1.
 
     ``nt`` is floor(t_end/dt) + 1, with a relative tolerance so that
@@ -72,26 +67,21 @@ class TimeGrid:
     floating-point division.
     """
 
-    t_end: float
-    dt: float
-    nt: int = field(init=False)
-
-    def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
-        if self.t_end <= 0:
-            raise ValueError(f"t_end must be positive, got {self.t_end}")
-        steps = self.t_end / self.dt * (1.0 + 1e-12)
+    def __init__(self, t_end: float, dt: float):
+        if dt <= 0:
+            raise ValueError(f"dt must be positive, got {dt}")
+        if t_end <= 0:
+            raise ValueError(f"t_end must be positive, got {t_end}")
+        steps = t_end / dt * (1.0 + 1e-12)
         if not math.isfinite(steps):
-            raise ValueError(f"t_end/dt = {self.t_end}/{self.dt} is not a finite step count")
-        object.__setattr__(self, "nt", math.floor(steps) + 1)
+            raise ValueError(f"t_end/dt = {t_end}/{dt} is not a finite step count")
+        self.__dict__.update(t_end=t_end, dt=dt, nt=math.floor(steps) + 1)
 
     def times(self) -> np.ndarray:
         return np.arange(self.nt) * self.dt
 
 
-@dataclass(frozen=True)
-class WaveField:
+class WaveField(Frozen):
     """Sampled solution values at one time level.
 
     Values are copied at construction and frozen; non-finite entries are
@@ -99,27 +89,20 @@ class WaveField:
     stepping code, never silently stored data.
     """
 
-    grid: Grid1D
-    time: float
-    values: np.ndarray
-
-    def __post_init__(self):
-        values = np.array(self.values, dtype=float, copy=True)
-        if values.ndim != 1 or values.shape[0] != self.grid.nx:
-            raise ValueError(
-                f"values must have shape ({self.grid.nx},), got {values.shape}"
-            )
+    def __init__(self, grid: Grid1D, time: float, values: np.ndarray):
+        values = np.array(values, dtype=float, copy=True)
+        if values.ndim != 1 or values.shape[0] != grid.nx:
+            raise ValueError(f"values must have shape ({grid.nx},), got {values.shape}")
         if not np.all(np.isfinite(values)):
             raise ValueError("WaveField values must be finite")
         values.flags.writeable = False
-        object.__setattr__(self, "values", values)
+        self.__dict__.update(grid=grid, time=time, values=values)
 
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.values)))
 
 
-@dataclass(frozen=True)
-class SchemeParams:
+class SchemeParams(Frozen):
     """Step sizes and the derived mesh ratios used by every scheme.
 
     ``alpha = dt/dx^3`` weights the dispersive term, ``beta = dt/dx``
@@ -127,12 +110,10 @@ class SchemeParams:
     relationship is exact by construction.
     """
 
-    dx: float
-    dt: float
-
-    def __post_init__(self):
-        if self.dx <= 0 or self.dt <= 0:
-            raise ValueError(f"dx and dt must be positive, got dx={self.dx}, dt={self.dt}")
+    def __init__(self, dx: float, dt: float):
+        if dx <= 0 or dt <= 0:
+            raise ValueError(f"dx and dt must be positive, got dx={dx}, dt={dt}")
+        self.__dict__.update(dx=dx, dt=dt)
 
     @property
     def alpha(self) -> float:
@@ -143,17 +124,13 @@ class SchemeParams:
         return self.dt / self.dx
 
 
-@dataclass(frozen=True)
-class SolitonSpec:
+class SolitonSpec(Frozen):
     """Parameters of a sech^2 pulse u = amplitude * sech^2(x/width) moving at ``speed``."""
 
-    amplitude: float
-    width: float
-    speed: float
-
-    def __post_init__(self):
-        if self.width == 0:
+    def __init__(self, amplitude: float, width: float, speed: float):
+        if width == 0:
             raise ValueError("width must be nonzero")
+        self.__dict__.update(amplitude=amplitude, width=width, speed=speed)
 
     @classmethod
     def from_wave_speed(cls, c: float) -> "SolitonSpec":

@@ -119,6 +119,9 @@ def write_run_outputs(out_dir: Path, echo_lines, result: RunResult) -> Tuple[lis
     meta.append(
         "blow_up_step = " + ("" if result.blow_up_step is None else str(result.blow_up_step))
     )
+    if result.failure is not None:
+        meta.append(f"failure_step = {result.failure_step}")
+        meta.append(f"failure = {result.failure}")
     meta.append(f"backend = {solve_backend()}")
     if result.picard_solves is not None:  # empty values when no step completed
         solves = result.picard_solves

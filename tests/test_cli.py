@@ -1,6 +1,7 @@
 """Tests for config parsing, the CLI subcommands, and file formats."""
 
 import contextlib
+import dataclasses
 import io
 import math
 import os
@@ -19,6 +20,7 @@ from kdvlab.analysis import cn_amplification, explicit_amplification
 from kdvlab.banded import Pentadiagonal
 from kdvlab.cli import cmd_eigen, eigen_report_text, execute_run, main
 from kdvlab.config import (
+    RunConfig,
     parse_config,
     parse_converge_config,
     parse_eigen_config,
@@ -51,6 +53,17 @@ def test_empty_config_is_demo_preset():
     assert cfg.ic_kind == "appendix"
     assert cfg.snapshot_times == tuple(k + 0.01 for k in range(1, 9))
     assert cfg.paper_normalization is False
+
+
+def test_configs_compare_by_value_and_take_only_their_own_fields():
+    assert parse_config("nx = 401") == parse_config("", [("nx", "401")])
+    assert parse_config("nx = 401") != parse_config("")
+    assert parse_eigen_config("") != parse_config("")  # another command's config
+    assert RunConfig(nx=401) == parse_config("nx = 401")
+    with pytest.raises(TypeError, match="power_tol"):
+        RunConfig(power_tol=1e-3)
+    with pytest.raises(TypeError):  # the defaults are read-only
+        RunConfig.defaults["nx"] = 401
 
 
 def test_config_rejects_negative_dt_by_name():
@@ -572,6 +585,45 @@ def test_overflowing_right_hand_side_is_a_blow_up_at_step_one(tmp_path, capsys, 
     assert (" mass = inf " in meta) == bool(recorded)
 
 
+def _singular_ic(tmp_path):
+    """Every u = 1e150 on the default x range at nx 201: B u is finite, A is singular in doubles."""
+    g = Grid1D(-20.0, 20.0, 201)
+    path = tmp_path / "singular.csv"
+    write_field_csv(path, WaveField(g, 0.0, np.full(201, 1e150)))
+    return f"file {path}"
+
+
+@pytest.mark.parametrize("scheme", ["cn-lagged", "cn-implicit"])
+def test_solver_failure_is_a_recorded_outcome(tmp_path, capsys, scheme):
+    out = tmp_path / "out"
+    args = ["run", "--scheme", scheme, "--nx", "201", "--dt", "0.01", "--t_end", "0.02",
+            "--snapshot_times", "0,0.02", "--ic", _singular_ic(tmp_path), "--output_dir", str(out)]
+    assert main(args) == 3
+    message = "step 1: zero pivot in banded elimination at row 196"
+    assert capsys.readouterr().err == f"kdvlab run: solver failure: {message}\n"
+    meta = (out / "run.meta").read_text()
+    assert meta.startswith(
+        "# kdvlab run metadata\noutcome = solver-failure\nblow_up_step = \n"
+        "failure_step = 1\nfailure = zero pivot in banded elimination at row 196\nbackend = "
+    )
+    assert ("\npicard_solves_min = \n" in meta) == (scheme == "cn-implicit")
+    assert "snapshot_count = 1\nsnapshot t = 0 file = snapshot_t0.csv " in meta
+    assert sorted(p.name for p in out.iterdir()) == ["run.meta", "snapshot_t0.csv"]
+    # a convergence study has no partial result to record: the failure is an error
+    converge = ["converge", "--scheme", scheme, "--nx", "201", "--dt", "0.01", "--t_end",
+                "0.02", "--levels", "1", "--refine", "time", "--x_min", "-20",
+                "--ic", _singular_ic(tmp_path), "--output_dir", str(tmp_path / "conv")]
+    assert main(converge) == 1
+    assert capsys.readouterr().err == f"kdvlab converge: error: {message}\n"
+
+
+@pytest.mark.parametrize("scheme, code", [("cn-lagged", 0), ("explicit", 2)])
+def test_run_meta_has_no_failure_lines_unless_a_solver_failed(tmp_path, scheme, code):
+    assert main(small_run_args(tmp_path, scheme=scheme)) == code
+    meta = (tmp_path / "out" / "run.meta").read_text()
+    assert "\nfailure_step = " not in meta and "\nfailure = " not in meta
+
+
 def test_overflowing_mass_of_a_recorded_initial_field(tmp_path, capsys):
     out = tmp_path / "out"
     args = ["run", "--nx", "201", "--dt", "0.01", "--ic", _huge_ic(tmp_path),
@@ -660,8 +712,20 @@ def test_run_meta_has_no_picard_lines_for_other_schemes(tmp_path, scheme, code):
     assert "picard_solves" not in (tmp_path / "out" / "run.meta").read_text()
 
 
+def _fresh_python(code, *args):
+    """Run ``code`` in a fresh interpreter that imports this kdvlab; return its last output line.
+
+    This process has the test extras loaded, so what kdvlab itself imports shows only there.
+    """
+    src = str(Path(kdvlab.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    out = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=path), timeout=120)
+    assert out.returncode == 0, out.stderr
+    return out.stdout.splitlines()[-1]
+
+
 def test_cli_imports_neither_scipy_nor_numba(tmp_path):
-    # a fresh interpreter, since this process has the test extras loaded;
     # importing scipy alone costs about 0.3 s and 28 MB
     code = (
         "import sys\n"
@@ -670,11 +734,21 @@ def test_cli_imports_neither_scipy_nor_numba(tmp_path):
         "assert main(sys.argv[1:]) == 0\n"
         "print('loaded:', [m for m in ('scipy', 'numba') if m in sys.modules])\n"
     )
-    src = str(Path(kdvlab.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    env = dict(os.environ, PYTHONPATH=path)
-    out = subprocess.run([sys.executable, "-c", code, *small_run_args(tmp_path)],
-                         capture_output=True, text=True, env=env, timeout=120)
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.splitlines()[-1] == "loaded: []"
+    assert _fresh_python(code, *small_run_args(tmp_path)) == "loaded: []"
     assert (tmp_path / "out" / "run.meta").is_file()
+
+
+def test_cli_import_builds_no_dataclasses():
+    # a dataclass compiles its methods when its class statement runs: 16 of
+    # them were about two thirds of the time to import kdvlab.cli
+    code = "import sys\nimport kdvlab.cli\nprint('dataclasses' in sys.modules)\n"
+    assert _fresh_python(code) == "False"
+
+    # this module's imports load every kdvlab module
+    classes = [value for name, module in sys.modules.items()
+               if name == "kdvlab" or name.startswith("kdvlab.")
+               for value in vars(module).values()
+               if isinstance(value, type) and value.__module__ == name]
+    assert {"Grid1D", "WaveField", "RunConfig", "ScanRow", "CertificateReport"} <= {
+        c.__name__ for c in classes}
+    assert [c.__name__ for c in classes if dataclasses.is_dataclass(c)] == []

@@ -1,6 +1,5 @@
 """Property tests for the config key table: the metadata echo parses back."""
 
-import dataclasses
 from pathlib import Path
 
 from hypothesis import given
@@ -65,8 +64,8 @@ def converge_configs(draw):
     # the study needs t_end to be a whole number of steps
     steps = draw(st.integers(min_value=1, max_value=1000))
     return ConvergeConfig(
-        **{f.name: getattr(run, f.name) for f in dataclasses.fields(RunConfig)
-           if f.name not in ("t_end", "snapshot_times")},
+        **{name: getattr(run, name) for name in RunConfig.defaults
+           if name not in ("t_end", "snapshot_times")},
         t_end=run.dt * steps,
         levels=draw(st.integers(min_value=1, max_value=10**9)),
         refine=draw(st.sampled_from(REFINE_MODES)),

@@ -1,12 +1,18 @@
 """Tests for grids, fields, soliton forms, and the residual oracle."""
 
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from kdvlab.analysis import AmplificationPoint, ScanRow
+from kdvlab.banded import CertificateReport, PowerIterationReport
+from kdvlab.crank_nicolson import CnConfig
 from kdvlab.errors import OracleError
+from kdvlab.evolution import SnapshotDiagnostics
 from kdvlab.model import (
     Grid1D,
     SchemeParams,
@@ -126,6 +132,78 @@ def test_soliton_spec_from_wave_speed():
         SolitonSpec.from_wave_speed(0.0)
     with pytest.raises(ValueError):
         SolitonSpec(amplitude=1.0, width=0.0, speed=1.0)
+
+
+# ---------------------------------------------------------------------------
+# value semantics of the record types
+# ---------------------------------------------------------------------------
+
+def test_grid_ending_at_negative_zero_equals_and_hashes_like_zero():
+    a, b = Grid1D(-1.0, -0.0, 9), Grid1D(-1.0, 0.0, 9)
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a != Grid1D(-1.0, 0.0, 11) and a != Grid1D(-2.0, 0.0, 9)
+    assert a != (-1.0, -0.0, 9)  # a value of its own type, not a tuple
+
+
+def test_records_print_and_copy_by_their_fields():
+    g = Grid1D(-20.0, 20.0, 4001)
+    assert repr(g) == "Grid1D(x_min=-20.0, x_max=20.0, nx=4001)"
+    assert repr(TimeGrid(1.0, 0.5)) == "TimeGrid(t_end=1.0, dt=0.5, nt=3)"
+    assert copy.copy(g) == g and pickle.loads(pickle.dumps(g)) == g
+    field = WaveField(Grid1D(0.0, 1.0, 11), 0.5, np.arange(11.0))
+    clone = copy.deepcopy(field)
+    assert clone.grid == field.grid and clone.time == 0.5
+    assert np.array_equal(clone.values, field.values)
+
+
+_GRID = Grid1D(0.0, 1.0, 11)
+_PARAMS = SchemeParams(dx=0.1, dt=0.01)
+
+# one value of every immutable record type, and one of its fields
+FROZEN = [
+    (_GRID, "nx"),
+    (TimeGrid(1.0, 0.1), "nt"),
+    (WaveField(_GRID, 0.0, np.zeros(11)), "values"),
+    (_PARAMS, "dt"),
+    (SolitonSpec(1.0, 2.0, 3.0), "width"),
+    (CnConfig(_PARAMS), "paper_normalization"),
+    (SnapshotDiagnostics(0.0, 1.0, 2.0, 3.0), "mass"),
+    (PowerIterationReport(1.0, 3, True, 0.0), "estimate"),
+    (CertificateReport("m", True, "d"), "certified"),
+    (AmplificationPoint(0.0, 1.0, 0.0, 1.0), "magnitude"),
+    (ScanRow(1.0, 1.0, 0.0, 1.0), "max_magnitude"),
+]
+
+
+@pytest.mark.parametrize("value, name", FROZEN, ids=[type(v).__name__ for v, _ in FROZEN])
+def test_record_fields_cannot_be_assigned_or_deleted(value, name):
+    before = getattr(value, name)
+    with pytest.raises(AttributeError):
+        setattr(value, name, 7)
+    with pytest.raises(AttributeError):
+        delattr(value, name)
+    with pytest.raises(AttributeError):
+        value.extra = 7
+    assert getattr(value, name) is before
+
+
+@pytest.mark.parametrize("build, match", [
+    (lambda: Grid1D(1.0, 1.0, 11), "must exceed"),
+    (lambda: Grid1D(0.0, math.nan, 11), "must exceed"),
+    (lambda: Grid1D(0.0, 1.0, 6), "nx must be >= 7"),
+    (lambda: TimeGrid(1.0, 0.0), "dt must be positive"),
+    (lambda: TimeGrid(-1.0, 0.1), "t_end must be positive"),
+    (lambda: TimeGrid(math.inf, 1.0), "not a finite step count"),
+    (lambda: WaveField(_GRID, 0.0, np.zeros(10)), "must have shape"),
+    (lambda: WaveField(_GRID, 0.0, np.zeros((11, 1))), "must have shape"),
+    (lambda: WaveField(_GRID, 0.0, np.full(11, math.inf)), "must be finite"),
+    (lambda: SchemeParams(dx=0.0, dt=0.1), "must be positive"),
+    (lambda: SchemeParams(dx=0.1, dt=-0.1), "must be positive"),
+    (lambda: SolitonSpec(1.0, 0.0, 1.0), "width must be nonzero"),
+])
+def test_record_constructors_check_their_inputs(build, match):
+    with pytest.raises(ValueError, match=match):
+        build()
 
 
 # ---------------------------------------------------------------------------
