@@ -23,7 +23,6 @@ from .banded import (
     Pentadiagonal,
     PowerIterationReport,
     dense_reference_solve,
-    gram_power_iteration,
     invertibility_certificate,
     matvec,
     power_iteration,

@@ -19,7 +19,6 @@ import ctypes
 import math
 import os
 import threading
-from typing import Optional
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -37,7 +36,6 @@ __all__ = [
     "reference_solve_banded",
     "dense_reference_solve",
     "power_iteration",
-    "gram_power_iteration",
     "symbol_bound",
     "invertibility_certificate",
 ]
@@ -82,6 +80,11 @@ class Pentadiagonal:
         bands.flags.writeable = False  # before the views are taken, so that they inherit it
         self._bands = bands
         self._views = (bands[0, 2:], bands[1, 1:], bands[2], bands[3, :-1], bands[4, :-2])
+
+    def __reduce__(self):
+        # copy, deepcopy and pickle rebuild through __init__: one fresh
+        # read-only array with the named bands as views of it
+        return type(self), (self.sub2, self.sub1, self.diag, self.sup1, self.sup2)
 
     bands = property(lambda self: self._bands)
     sup2 = property(lambda self: self._views[0])
@@ -376,42 +379,22 @@ def dense_reference_solve(M: np.ndarray, b) -> np.ndarray:
         raise SingularMatrixError(f"dense reference solve failed: {exc}") from exc
 
 
-def _power_loop(op, b: np.ndarray, tol: float, max_iters: int):
-    """Power iteration of ``op`` from the unit vector ``b``, one product per iterate.
+def power_iteration(P: Pentadiagonal, b0, tol: float = 1e-10, max_iters: int = 10_000) -> PowerIterationReport:
+    """Dominant-eigenvalue probe b_{k+1} = P b_k / ||P b_k||, one product per iterate.
 
-    Each ``y = op(b)`` serves the iterate's Rayleigh quotient ``b . y``,
-    the next iterate ``y / ||y||`` and, for the last ``b``, the residual.
-    Returns ``(rho, iterations, stabilized, b, y)``.
+    Each ``y = P b`` serves the iterate's Rayleigh quotient ``b . y``, the
+    next iterate ``y / ||y||`` and, for the last ``b``, the residual.
+    Stops when successive Rayleigh quotients differ by less than ``tol``
+    (vector stabilisation would never settle for negative dominant
+    eigenvalues) or after ``max_iters``.  Convergence additionally
+    requires the eigen-residual to be below sqrt(tol) relative to the
+    estimate; see :class:`PowerIterationReport`.  On an identity-plus-skew
+    P the quotient is 1 for every b, so the probe stops after one iterate.
     """
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
     if max_iters < 1:
         raise ValueError(f"max_iters must be >= 1, got {max_iters}")
-    y = op(b)
-    rho = float(b @ y)
-    for iterations in range(1, max_iters + 1):
-        ynorm = np.linalg.norm(y)
-        if ynorm == 0.0:
-            # b is in the null space; the quotient is exactly 0 and stays there.
-            return 0.0, iterations, True, b, y
-        b = y / ynorm
-        y = op(b)
-        rho_next = float(b @ y)
-        if abs(rho_next - rho) < tol:
-            return rho_next, iterations, True, b, y
-        rho = rho_next
-    return rho, max_iters, False, b, y
-
-
-def power_iteration(P: Pentadiagonal, b0, tol: float = 1e-10, max_iters: int = 10_000) -> PowerIterationReport:
-    """Dominant-eigenvalue probe b_{k+1} = P b_k / ||P b_k||.
-
-    Stops when successive Rayleigh quotients differ by less than ``tol``
-    (vector stabilisation would never settle for negative dominant
-    eigenvalues) or after ``max_iters``.  Convergence additionally
-    requires the eigen-residual to be below sqrt(tol) relative to the
-    estimate; see :class:`PowerIterationReport`.
-    """
     b = np.asarray(b0, dtype=float).copy()
     if b.shape != (P.n,):
         raise ValueError(f"b0 must have shape ({P.n},), got {b.shape}")
@@ -420,35 +403,25 @@ def power_iteration(P: Pentadiagonal, b0, tol: float = 1e-10, max_iters: int = 1
         raise ValueError("b0 must be nonzero")
     b /= norm
 
-    rho, iterations, stabilized, b, y = _power_loop(lambda v: matvec(P, v), b, tol, max_iters)
+    y = matvec(P, b)
+    rho = float(b @ y)
+    for iterations in range(1, max_iters + 1):
+        ynorm = np.linalg.norm(y)
+        if ynorm == 0.0:
+            # b is in the null space; the quotient is exactly 0 and stays there.
+            rho, stabilized = 0.0, True
+            break
+        b = y / ynorm
+        y = matvec(P, b)
+        rho_next = float(b @ y)
+        stabilized = abs(rho_next - rho) < tol
+        rho = rho_next
+        if stabilized:
+            break
     residual = float(np.linalg.norm(y - rho * b) / np.linalg.norm(b))
     converged = bool(stabilized and residual <= np.sqrt(tol) * (1.0 + abs(rho)))
     return PowerIterationReport(
         estimate=rho, iterations=iterations, converged=converged, residual=residual
-    )
-
-
-def gram_power_iteration(P: Pentadiagonal, tol: float = 1e-10, max_iters: int = 10_000) -> PowerIterationReport:
-    """Largest singular value via power iteration on the Gram operator P.T P.
-
-    The Gram operator is symmetric positive semi-definite, so this probe
-    is sound even when plain power iteration oscillates on a matrix with
-    a complex dominant pair.  ``estimate`` reports sigma_max itself; the
-    residual is measured on the Gram operator.
-    """
-    rng = np.random.default_rng(1729)  # fixed start vector: deterministic probe
-    b = rng.standard_normal(P.n)
-    b /= np.linalg.norm(b)
-
-    PT = P.transpose()
-    rho, iterations, stabilized, b, y = _power_loop(
-        lambda v: matvec(PT, matvec(P, v)), b, tol, max_iters
-    )
-    residual = float(np.linalg.norm(y - rho * b))
-    converged = bool(stabilized and residual <= np.sqrt(tol) * (1.0 + abs(rho)))
-    sigma = float(np.sqrt(max(rho, 0.0)))
-    return PowerIterationReport(
-        estimate=sigma, iterations=iterations, converged=converged, residual=residual
     )
 
 
@@ -461,28 +434,43 @@ def skew_deviation(P: Pentadiagonal) -> float:
 
 
 # Outward rounding of symbol_bound: 32 units of 2**-52, several times the
-# few-ulp error of evaluating h at its computed maximiser.
+# few-ulp error of evaluating h at its computed maximiser or of summing delta.
 _SYMBOL_RTOL = 32 * 2.0**-52
 
 
-def symbol_bound(P: Pentadiagonal) -> Optional[float]:
-    """Upper bound on sigma_max of P from its Toeplitz symbol, or None.
+def _midrange(sup: np.ndarray, sub: np.ndarray):
+    """``(m, r)``: the midrange m of the values of sup and -sub, and r = max |value - m|.
 
-    Applies to identity-plus-skew matrices with constant bands, such as
-    the frozen-midpoint A.  P is then a section of the banded Toeplitz
-    operator with symbol f = 1 + 2i h, h(theta) = c1 sin theta +
-    c2 sin 2theta, where c1 = sup1[0] and c2 = sup2[0]; a section's norm
-    is at most sup |f| (Boettcher & Grudsky, Spectral Properties of
+    ``lo + (hi - lo) / 2`` gives m exactly when all the values are equal.
+    A nan among the values makes both nan (``np.minimum`` propagates it).
+    """
+    lo = float(np.minimum(sup.min(), -sub.max()))
+    hi = float(np.maximum(sup.max(), -sub.min()))
+    m = lo + (hi - lo) / 2.0
+    return m, max(hi - m, m - lo)
+
+
+def symbol_bound(P: Pentadiagonal) -> float:
+    """Certified upper bound on sigma_max of any pentadiagonal P.
+
+    Write P = T + D, where T is the identity-plus-skew Toeplitz matrix
+    whose first and second superdiagonals are the constants c1 and c2
+    (subdiagonals -c1, -c2), ck the midrange of the values of supk and
+    -subk.  T is a section of the banded Toeplitz operator with symbol
+    f = 1 + 2i h, h(theta) = c1 sin theta + c2 sin 2theta, and a section's
+    norm is at most sup |f| (Boettcher & Grudsky, Spectral Properties of
     Banded Toeplitz Matrices, SIAM 2005).  |h| peaks where h' = 0, at
     cos theta = (-c1 +- sqrt(c1^2 + 32 c2^2)) / (8 c2), or at theta = pi/2
-    when c2 = 0, so the sup is closed-form.  It is rounded outward by
-    ``_SYMBOL_RTOL``, except that h = 0 (the identity) gives exactly 1.
+    when c2 = 0, so the sup is closed-form; it is rounded outward by
+    ``_SYMBOL_RTOL``, except that h = 0 gives exactly 1.  Each band of D
+    is a shifted diagonal matrix, so ||D||_2 <= delta = max|diag - 1| +
+    2 r1 + 2 r2, with rk the largest distance of supk and -subk from ck.
+    With delta = 0 (constant identity-plus-skew bands, such as the
+    frozen-midpoint A) the bound is sup |f|; otherwise sup |f| + delta,
+    rounded outward.  Only band reductions are used, and a non-finite
+    entry gives a non-finite bound.
     """
-    if skew_deviation(P) != 0.0:
-        return None
-    c1, c2 = float(P.sup1[0]), float(P.sup2[0])
-    if np.any(P.sup1 != c1) or np.any(P.sup2 != c2):
-        return None
+    (c1, r1), (c2, r2) = _midrange(P.sup1, P.sub1), _midrange(P.sup2, P.sub2)
     if c2 == 0.0:
         h_max = abs(c1)
     else:
@@ -494,9 +482,9 @@ def symbol_bound(P: Pentadiagonal) -> Optional[float]:
             if abs(c) <= 1.0:
                 t = math.acos(c)
                 h_max = max(h_max, abs(c1 * math.sin(t) + c2 * math.sin(2.0 * t)))
-    if h_max == 0.0:
-        return 1.0
-    return math.hypot(1.0, 2.0 * h_max) * (1.0 + _SYMBOL_RTOL)
+    sup_f = 1.0 if h_max == 0.0 else math.hypot(1.0, 2.0 * h_max) * (1.0 + _SYMBOL_RTOL)
+    delta = float(np.abs(P.diag - 1.0).max()) + 2.0 * (r1 + r2)
+    return sup_f if delta == 0.0 else (sup_f + delta) * (1.0 + _SYMBOL_RTOL)
 
 
 def invertibility_certificate(P: Pentadiagonal) -> CertificateReport:

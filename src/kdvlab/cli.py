@@ -23,7 +23,6 @@ import numpy as np
 from .analysis import observed_order, stability_scan
 from .banded import (
     Pentadiagonal,
-    gram_power_iteration,
     invertibility_certificate,
     power_iteration,
     symbol_bound,
@@ -105,27 +104,18 @@ def eigen_report_text(
 ) -> str:
     """Spectral probe report for one matrix: power iteration, sigma_max and the certificate.
 
-    sigma_max is :func:`symbol_bound` where that applies, else the Gram probe's estimate.
+    sigma_max is :func:`symbol_bound`, a certified upper bound for every A;
+    ``tol`` and ``max_iters`` drive only the power-iteration probe.
     """
     b0 = np.ones(A.n) / math.sqrt(A.n)
     plain = power_iteration(A, b0, tol=tol, max_iters=max_iters)
-    bound = symbol_bound(A)
-    if bound is None:
-        gram = gram_power_iteration(A, tol=tol, max_iters=max_iters)
-        sigma_line = (
-            "gram_power_iteration: "
-            f"sigma_max = {_fmt(gram.estimate)} iterations = {gram.iterations} "
-            f"converged = {str(gram.converged).lower()} residual = {_fmt(gram.residual)}"
-        )
-    else:
-        sigma_line = f"symbol_bound: sigma_max = {_fmt(bound)} kind = upper-bound"
     cert = invertibility_certificate(A)
     lines = [
         f"n = {A.n}",
         "power_iteration: "
         f"estimate = {_fmt(plain.estimate)} iterations = {plain.iterations} "
         f"converged = {str(plain.converged).lower()} residual = {_fmt(plain.residual)}",
-        sigma_line,
+        f"symbol_bound: sigma_max = {_fmt(symbol_bound(A))} kind = upper-bound",
         f"certificate: method = {cert.method} certified = {str(cert.certified).lower()}",
         f"certificate_detail: {cert.detail}",
     ]

@@ -98,6 +98,10 @@ class WaveField(Frozen):
         values.flags.writeable = False
         self.__dict__.update(grid=grid, time=time, values=values)
 
+    def __reduce__(self):
+        # copy, deepcopy and pickle rebuild through __init__, which freezes the copy
+        return type(self), (self.grid, self.time, self.values)
+
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.values)))
 

@@ -1,6 +1,9 @@
 """Tests for pentadiagonal storage, banded LU, and the spectral probes."""
 
+import copy
 import importlib.util
+import math
+import pickle
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -16,7 +19,6 @@ from kdvlab.banded import (
     Pentadiagonal,
     PowerIterationReport,
     dense_reference_solve,
-    gram_power_iteration,
     invertibility_certificate,
     matvec,
     power_iteration,
@@ -25,6 +27,7 @@ from kdvlab.banded import (
     solve_banded,
     symbol_bound,
 )
+from kdvlab.cli import eigen_report_text
 from kdvlab.config import parse_eigen_config
 from kdvlab.crank_nicolson import assemble_implicit, assemble_lagged
 from kdvlab.errors import SingularMatrixError
@@ -147,6 +150,19 @@ def test_band_storage_is_read_only():
         P.diag = np.ones(7)
     with pytest.raises(AttributeError):
         P.bands = np.zeros((5, 7))
+
+
+@pytest.mark.parametrize("how", ["copy", "deepcopy", "pickle"])
+def test_copies_keep_one_read_only_band_array_with_aliased_views(how):
+    P = random_penta(np.random.default_rng(5), 9)
+    clone = {"copy": copy.copy, "deepcopy": copy.deepcopy,
+             "pickle": lambda value: pickle.loads(pickle.dumps(value))}[how](P)
+    assert not clone.bands.flags.writeable
+    for name in ("sub2", "sub1", "diag", "sup1", "sup2"):
+        view = getattr(clone, name)
+        assert np.shares_memory(view, clone.bands) and not view.flags.writeable
+        assert np.array_equal(view, getattr(P, name))
+    assert np.array_equal(clone.bands, P.bands)
 
 
 def test_band_storage_copies_its_inputs():
@@ -462,41 +478,9 @@ def test_power_iteration_fails_honestly_on_skew_spectrum():
     assert (not rep.converged) or rep.residual > 1e-2
 
 
-# ---------------------------------------------------------------------------
-# gram power iteration
-# ---------------------------------------------------------------------------
-
-def test_gram_identity_and_diagonal():
-    assert gram_power_iteration(Pentadiagonal.identity(8)).estimate == pytest.approx(1.0, abs=1e-10)
-    n = 10
-    D = Pentadiagonal(np.zeros(n - 2), np.zeros(n - 1), np.arange(1.0, n + 1.0),
-                      np.zeros(n - 1), np.zeros(n - 2))
-    rep = gram_power_iteration(D, tol=1e-13, max_iters=100_000)
-    assert rep.estimate == pytest.approx(float(n), rel=1e-8)
-
-
-def test_gram_matches_dense_gram_oracle():
-    rng = np.random.default_rng(7)
-    n = 40
-    P = random_penta(rng, n, dominant=False)
-    rep = gram_power_iteration(P, tol=1e-14, max_iters=1_000_000)
-
-    # independent oracle: power iteration on a dense Gram matrix, budget 1e6
-    G = P.to_dense().T @ P.to_dense()
-    b = np.ones(n) / np.sqrt(n)
-    lam = 0.0
-    for _ in range(1_000_000):
-        y = G @ b
-        b = y / np.linalg.norm(y)
-        new = float(b @ (G @ b))
-        if abs(new - lam) < 1e-15 * max(1.0, abs(new)):
-            lam = new
-            break
-        lam = new
-    assert rep.estimate == pytest.approx(np.sqrt(lam), rel=1e-6)
-
-
 def test_power_iteration_matches_gram_on_spd():
+    # on a symmetric positive definite S the dominant eigenvalue is sigma_max,
+    # the square root of the dense Gram matrix's largest eigenvalue
     rng = np.random.default_rng(23)
     for _ in range(3):
         n = int(rng.integers(10, 40))
@@ -504,9 +488,10 @@ def test_power_iteration_matches_gram_on_spd():
         off2 = rng.standard_normal(n - 2) * 0.5
         diag = np.abs(rng.standard_normal(n)) + 4.0
         S = Pentadiagonal(off2, off1, diag, off1, off2)
+        M = S.to_dense()
         r_plain = power_iteration(S, np.ones(n), tol=1e-14, max_iters=200_000)
-        r_gram = gram_power_iteration(S, tol=1e-14, max_iters=200_000)
-        assert r_plain.estimate == pytest.approx(r_gram.estimate, rel=1e-6)
+        assert r_plain.estimate == pytest.approx(np.linalg.eigvalsh(M)[-1], rel=1e-6)
+        assert r_plain.estimate == pytest.approx(np.sqrt(np.linalg.eigvalsh(M.T @ M)[-1]), rel=1e-6)
 
 
 def _count_products(monkeypatch):
@@ -522,17 +507,14 @@ def _count_products(monkeypatch):
 
 
 def test_power_probes_compute_one_product_per_iterate(monkeypatch):
-    # Neither quotient settles within k sweeps: the Gram quotient on I + K,
-    # and the plain quotient once a graded diagonal breaks b.(I + K)b = 1.
+    # The plain quotient does not settle within k sweeps once a graded
+    # diagonal breaks b.(I + K)b = 1.
     k = 25
     P = skew_penta(500.0, 250.0, 50)
     graded = Pentadiagonal(P.sub2, P.sub1, np.linspace(1.0, 2.0, 50), P.sup1, P.sup2)
     counts = _count_products(monkeypatch)
     assert power_iteration(graded, np.ones(50), max_iters=k).iterations == k
     assert counts == {"matvec": k + 1}
-    counts["matvec"] = 0
-    assert gram_power_iteration(P, max_iters=k).iterations == k
-    assert counts == {"matvec": 2 * (k + 1)}  # P v, then P.T (P v)
 
 
 def test_power_probes_stop_in_the_null_space():
@@ -540,7 +522,6 @@ def test_power_probes_stop_in_the_null_space():
     Z = Pentadiagonal(np.zeros(n - 2), np.zeros(n - 1), np.zeros(n), np.zeros(n - 1), np.zeros(n - 2))
     expected = PowerIterationReport(estimate=0.0, iterations=1, converged=True, residual=0.0)
     assert power_iteration(Z, np.ones(n)) == expected
-    assert gram_power_iteration(Z) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -575,6 +556,28 @@ def _default_lagged(nx, gamma_mode="frozen-midpoint"):
     return A, u, cfg
 
 
+def _sigma_max(P):
+    return np.linalg.svd(P.to_dense(), compute_uv=False)[0]
+
+
+def _closed_form(c1, c2):
+    """sup |1 + 2i (c1 sin theta + c2 sin 2theta)| in closed form, rounded outward.
+
+    The bound for constant identity-plus-skew bands, transcribed from its
+    derivation in ``symbol_bound``'s docstring, with no midrange or delta.
+    """
+    if c2 == 0.0:
+        h_max = abs(c1)
+    else:
+        q = -(c1 + math.copysign(math.hypot(c1, 4.0 * math.sqrt(2.0) * c2), c1)) / 2.0
+        h_max = 0.0
+        for c in (q / (4.0 * c2), -2.0 * c2 / q):
+            if abs(c) <= 1.0:
+                t = math.acos(c)
+                h_max = max(h_max, abs(c1 * math.sin(t) + c2 * math.sin(2.0 * t)))
+    return 1.0 if h_max == 0.0 else math.hypot(1.0, 2.0 * h_max) * (1.0 + banded._SYMBOL_RTOL)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     c1=st.floats(min_value=-1e4, max_value=1e4),
@@ -584,7 +587,8 @@ def _default_lagged(nx, gamma_mode="frozen-midpoint"):
 def test_symbol_bound_is_a_tight_upper_bound(c1, c2, n):
     P = skew_penta(-c1, c2, n)  # sup1 = c1, sup2 = c2
     U = symbol_bound(P)
-    assert np.linalg.svd(P.to_dense(), compute_uv=False)[0] <= U
+    assert type(U) is float and U == _closed_form(c1, c2)
+    assert _sigma_max(P) <= U
     coarse, refined = _symbol_sup(lambda t: c1 * np.sin(t) + c2 * np.sin(2.0 * t))
     assert coarse <= refined <= U
     assert U - refined <= 1e-12 * refined
@@ -594,27 +598,77 @@ def test_symbol_bound_of_the_identity_is_one():
     assert symbol_bound(Pentadiagonal.identity(9)) == 1.0
 
 
-def test_symbol_bound_needs_constant_identity_plus_skew_bands():
+def test_symbol_bound_covers_matrices_that_are_not_constant_identity_plus_skew():
     A, u, cfg = _default_lagged(54, "row-varying")
-    assert symbol_bound(A) is None
     A_implicit, _ = assemble_implicit(u, u, cfg.cn_config())
-    assert symbol_bound(A_implicit) is None
     P = skew_penta(500.0, 250.0, 50)
     symmetric = Pentadiagonal(P.sup2, P.sup1, P.diag, P.sup1, P.sup2)  # constant, not I + K
-    assert symbol_bound(symmetric) is None
+    matrices = [A, A_implicit, symmetric]
     for band in ("sup1", "sup2"):
         bands = {name: getattr(P, name).copy() for name in ("sub2", "sub1", "diag", "sup1", "sup2")}
         bands[band][7] += 1.0
         bands["sub" + band[-1]] = -bands[band]
         perturbed = Pentadiagonal(**bands)
         assert skew_deviation(perturbed) == 0.0
-        assert symbol_bound(perturbed) is None
+        matrices.append(perturbed)
+    for M in matrices:
+        U = symbol_bound(M)
+        assert type(U) is float and _sigma_max(M) <= U
+    assert symbol_bound(A) == 1.0029197086308521  # sigma_max is 1.000788...
 
 
-@pytest.mark.parametrize("nx", [54, 4001])
-def test_gram_estimate_stays_below_symbol_bound(nx):
-    A, _, _ = _default_lagged(nx)
-    assert gram_power_iteration(A, max_iters=200).estimate <= symbol_bound(A)
+_BAND_LENGTHS = (("sub2", 2), ("sub1", 1), ("diag", 0), ("sup1", 1), ("sup2", 2))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(min_value=5, max_value=512),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    scales=st.lists(st.floats(min_value=-3.0, max_value=4.0), min_size=5, max_size=5),
+    spread=st.floats(min_value=-12.0, max_value=0.0),
+    near_skew=st.booleans(),
+)
+def test_symbol_bound_is_an_upper_bound_for_every_pentadiagonal(n, seed, scales, spread, near_skew):
+    """Entry scales 1e-3..1e4 per band; near_skew draws I + K with row-varying bands.
+
+    In the near-skew case each band is a constant plus a variation of
+    relative size 10**spread, and each sub band is minus its sup band with
+    its own variation, as in the row-varying A.
+    """
+    rng = np.random.default_rng(seed)
+    sizes = {name: 10.0**scale for (name, _), scale in zip(_BAND_LENGTHS, scales)}
+    bands = {}
+    for name, short in _BAND_LENGTHS:
+        size = sizes[name]
+        if near_skew:
+            base = 1.0 if name == "diag" else size * rng.standard_normal()
+            bands[name] = base + size * 10.0**spread * rng.standard_normal(n - short)
+        else:
+            bands[name] = size * rng.standard_normal(n - short)
+    if near_skew:
+        for k in "12":
+            variation = sizes["sup" + k] * 10.0**spread * rng.standard_normal(n - int(k))
+            bands["sub" + k] = -bands["sup" + k] + variation
+    P = Pentadiagonal(**bands)
+    U = symbol_bound(P)
+    assert type(U) is float and math.isfinite(U)
+    assert _sigma_max(P) <= U
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    band=st.sampled_from([name for name, _ in _BAND_LENGTHS]),
+    where=st.integers(min_value=0, max_value=20),
+    bad=st.sampled_from([math.nan, math.inf, -math.inf]),
+    base=st.sampled_from(["identity", "skew", "random"]),
+)
+def test_a_non_finite_entry_gives_a_non_finite_bound(band, where, bad, base):
+    n = 12
+    P = {"identity": Pentadiagonal.identity(n), "skew": skew_penta(500.0, 250.0, n),
+         "random": random_penta(np.random.default_rng(where), n, dominant=False)}[base]
+    bands = {name: getattr(P, name).copy() for name, _ in _BAND_LENGTHS}
+    bands[band][where % bands[band].size] = bad
+    assert not math.isfinite(symbol_bound(Pentadiagonal(**bands)))
 
 
 @pytest.mark.parametrize("nx", [54, 4001])
@@ -627,6 +681,17 @@ def test_symbol_bound_matches_the_cn_symbol(nx):
     U = symbol_bound(A)
     assert sup <= U
     assert U - sup <= 1e-12 * sup
+    assert U == {54: 1.000592072959066, 4001: 12990.705855458718}[nx]
+
+
+def test_eigen_report_makes_only_the_plain_probes_products(monkeypatch):
+    # the default row-varying eigen matrix: sigma_max costs no product at all
+    A, _, cfg = _default_lagged(4001, "row-varying")
+    k = power_iteration(A, np.ones(A.n), cfg.power_tol, cfg.power_max_iters).iterations
+    counts = _count_products(monkeypatch)
+    report = eigen_report_text(A, cfg.power_tol, cfg.power_max_iters)
+    assert counts == {"matvec": k + 1}
+    assert "symbol_bound: sigma_max = 12990.730975188442 kind = upper-bound\n" in report
 
 
 # ---------------------------------------------------------------------------

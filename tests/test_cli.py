@@ -471,8 +471,7 @@ EIGEN_GOLDEN = {
         "n = 50\n"
         "power_iteration: estimate = 1.0000000000000515 iterations = 1 converged = false"
         " residual = 0.0016451221069903686\n"
-        "gram_power_iteration: sigma_max = 1.0002679784970954 iterations = 500"
-        " converged = false residual = 0.00054567822217101646\n"
+        "symbol_bound: sigma_max = 1.0029197086308521 kind = upper-bound\n"
         "certificate: method = LU-factorization certified = true\n"
         "certificate_detail: banded LU with partial pivoting completed with nonzero pivots\n"
     ),

@@ -156,6 +156,24 @@ def test_records_print_and_copy_by_their_fields():
     assert np.array_equal(clone.values, field.values)
 
 
+_COPIES = {
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+    "pickle": lambda value: pickle.loads(pickle.dumps(value)),
+}
+
+
+@pytest.mark.parametrize("how", sorted(_COPIES))
+def test_wavefield_copies_keep_read_only_values(how):
+    field = WaveField(Grid1D(0.0, 1.0, 11), 0.5, np.arange(11.0))
+    clone = _COPIES[how](field)
+    assert not clone.values.flags.writeable
+    assert clone.grid == field.grid and clone.time == field.time
+    assert np.array_equal(clone.values, field.values)
+    with pytest.raises(ValueError):
+        clone.values[0] = 1.0
+
+
 _GRID = Grid1D(0.0, 1.0, 11)
 _PARAMS = SchemeParams(dx=0.1, dt=0.01)
 
