@@ -52,7 +52,6 @@ from .explicit import explicit_step, run_explicit
 from .model import (
     Grid1D,
     SchemeParams,
-    SolitonSpec,
     TimeGrid,
     WaveField,
     appendix_profile,

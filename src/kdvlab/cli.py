@@ -42,7 +42,6 @@ from .crank_nicolson import assemble_lagged, run_cn
 from .errors import ConfigError, FixedPointError, KdvLabError, SingularMatrixError
 from .evolution import OUTCOME_BLOW_UP, OUTCOME_COMPLETED, OUTCOME_SOLVER_FAILURE, RunResult
 from .explicit import run_explicit
-from .model import Grid1D
 from .runio import _fmt, write_run_outputs
 
 __all__ = [
@@ -139,28 +138,21 @@ def cmd_eigen(cfg: EigenConfig, out=None) -> int:
     return EXIT_OK
 
 
-def _level_setup(cfg: ConvergeConfig, level: int):
-    """Grid, dt, and refinement scale h for one refinement level."""
-    space = 1 if cfg.refine == "time" else 2**level
-    time = 1 if cfg.refine == "space" else 2**level
-    grid = Grid1D(cfg.x_min, cfg.x_max, (cfg.nx - 1) * space + 1)
-    dt = cfg.dt / time
-    return grid, dt, dt if cfg.refine == "time" else grid.dx
-
-
 def converge_study(cfg: ConvergeConfig):
-    """Run all refinement levels; returns (h per level, final fields, errors).
+    """Run all refinement levels; returns (h per level, errors).
 
-    Errors compare each level's final state against the finest level on
-    the coarse level's grid points (sup norm).  The finest level itself
-    has no error entry.
+    Level k divides dt, nx - 1 or both by 2^k; its h is dt when only dt
+    is refined, dx otherwise.  Errors compare each level's final state
+    against the finest level on the coarse level's grid points (sup
+    norm).  The finest level itself has no error entry.
     """
     finals = []
     hs = []
     for level in range(cfg.levels):
-        grid, dt, h = _level_setup(cfg, level)
-        level_cfg = type(cfg)(**{**vars(cfg), "nx": grid.nx, "dt": dt,
-                                 "snapshot_times": (cfg.t_end,)})
+        space = 1 if cfg.refine == "time" else 2**level
+        time = 1 if cfg.refine == "space" else 2**level
+        level_cfg = type(cfg)(**{**vars(cfg), "nx": (cfg.nx - 1) * space + 1,
+                                 "dt": cfg.dt / time, "snapshot_times": (cfg.t_end,)})
         level_cfg.validate()
         result = execute_run(level_cfg)
         if not result.completed:
@@ -168,19 +160,19 @@ def converge_study(cfg: ConvergeConfig):
                 f"refinement level {level} blew up at step {result.blow_up_step}"
             )
         finals.append(result.snapshots[-1])
-        hs.append(h)
+        hs.append(level_cfg.dt if cfg.refine == "time" else level_cfg.grid().dx)
 
     errors = []
     finest = finals[-1]
     for final in finals[:-1]:
         stride = (finest.grid.nx - 1) // (final.grid.nx - 1)  # 1 when only dt is refined
         errors.append(float(np.max(np.abs(final.values - finest.values[::stride]))))
-    return hs, finals, errors
+    return hs, errors
 
 
 def cmd_converge(cfg: ConvergeConfig) -> int:
     """Run the refinement study and write ``converge.csv`` plus ``converge.meta``."""
-    hs, _, errors = converge_study(cfg)
+    hs, errors = converge_study(cfg)
 
     lines = ["level,h,error_vs_finest,pairwise_order"]
     for level, h in enumerate(hs):

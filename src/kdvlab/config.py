@@ -21,6 +21,7 @@ from typing import Callable, Dict, Iterable, Optional, Tuple
 
 from .crank_nicolson import CnConfig, GammaMode, LinearizationKind
 from .errors import ConfigError
+from .evolution import snapshot_requests
 from .model import (
     Grid1D,
     SchemeParams,
@@ -75,18 +76,9 @@ class RunConfig(_Config):
     defaults = MappingProxyType(dict(
         scheme="cn-lagged", gamma_mode="frozen-midpoint",
         x_min=-20.0, x_max=20.0, nx=4001, dt=0.01, t_end=10.0,
-        ic_kind="appendix", ic_value=None,  # the speed, or the path of ``ic = file``
+        ic=("appendix", None),  # (kind, the speed or the path of ``ic = file``)
         snapshot_times=DEFAULT_SNAPSHOTS, paper_normalization=False, output_dir=Path("out"),
     ))
-
-    @property
-    def ic(self) -> Tuple[str, Optional[object]]:
-        """The ``ic`` key: initial-condition kind and its parameter."""
-        return self.ic_kind, self.ic_value
-
-    @ic.setter
-    def ic(self, kind_value: Tuple[str, Optional[object]]) -> None:
-        self.ic_kind, self.ic_value = kind_value
 
     def validate(self) -> None:
         if self.scheme not in SCHEMES:
@@ -95,35 +87,19 @@ class RunConfig(_Config):
             raise ConfigError(
                 f"gamma_mode must be one of {GAMMA_MODES}, got {self.gamma_mode!r}"
             )
-        if not self.x_max > self.x_min:
-            raise ConfigError(
-                f"x_max ({self.x_max}) must exceed x_min ({self.x_min})"
-            )
-        if self.nx < 7:
-            raise ConfigError(f"nx must be an integer >= 7, got {self.nx}")
-        if self.dt <= 0:
-            raise ConfigError(f"dt must be positive, got {self.dt}")
-        if self.t_end <= 0:
-            raise ConfigError(f"t_end must be positive, got {self.t_end}")
-        if self.ic_kind not in IC_KINDS:
-            raise ConfigError(f"ic must be one of {IC_KINDS}, got {self.ic_kind!r}")
-        if self.ic_kind in ("paper-eq2", "traveling"):
-            if not isinstance(self.ic_value, float) or self.ic_value <= 0:
-                raise ConfigError(
-                    f"ic {self.ic_kind} needs a positive speed parameter, got {self.ic_value!r}"
-                )
-        if self.ic_kind == "file" and not self.ic_value:
+        kind, value = self.ic
+        if kind not in IC_KINDS:
+            raise ConfigError(f"ic must be one of {IC_KINDS}, got {kind!r}")
+        if kind in ("paper-eq2", "traveling") and (not isinstance(value, float) or value <= 0):
+            raise ConfigError(f"ic {kind} needs a positive speed parameter, got {value!r}")
+        if kind == "file" and not value:
             raise ConfigError("ic file needs a path")
-        times = self.snapshot_times
-        for a, b in zip(times, times[1:]):
-            if b < a:
-                raise ConfigError(
-                    f"snapshot_times must be ascending, got {a} before {b}"
-                )
-        if times and (times[0] < 0.0 or times[-1] > self.t_end):
-            raise ConfigError(
-                f"snapshot_times must lie in [0, t_end={self.t_end}], got {times}"
-            )
+        # the grid, the time levels and the snapshot rule check themselves
+        try:
+            self.grid()
+            snapshot_requests(self.snapshot_times, self.time_grid())
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
     def grid(self) -> Grid1D:
         return Grid1D(self.x_min, self.x_max, self.nx)
@@ -136,13 +112,14 @@ class RunConfig(_Config):
 
     def initial_field(self) -> WaveField:
         grid = self.grid()
-        if self.ic_kind == "appendix":
+        kind, value = self.ic
+        if kind == "appendix":
             return appendix_profile(grid)
-        if self.ic_kind == "paper-eq2":
-            return initial_condition(grid, float(self.ic_value))
-        if self.ic_kind == "traveling":
-            return traveling_wave(grid, float(self.ic_value), 0.0)
-        return read_field_csv(Path(str(self.ic_value)), grid)
+        if kind == "paper-eq2":
+            return initial_condition(grid, float(value))
+        if kind == "traveling":
+            return traveling_wave(grid, float(value), 0.0)
+        return read_field_csv(Path(str(value)), grid)
 
     def cn_config(self) -> CnConfig:
         linearization = (
@@ -209,7 +186,7 @@ class ConvergeConfig(RunConfig):
     command = "converge"
     defaults = MappingProxyType(dict(
         RunConfig.defaults, levels=3, refine="both", snapshot_times=(),
-        ic_kind="traveling", ic_value=0.5, gamma_mode="row-varying",
+        ic=("traveling", 0.5), gamma_mode="row-varying",
         x_min=-16.0, x_max=20.0, nx=451, dt=0.02, t_end=1.0,
     ))
 
@@ -221,14 +198,13 @@ class ConvergeConfig(RunConfig):
             raise ConfigError(
                 f"refine must be one of {REFINE_MODES}, got {self.refine!r}"
             )
-        steps = self.t_end / self.dt
-        if not math.isfinite(steps):
-            raise ConfigError(f"t_end/dt = {self.t_end}/{self.dt} is not a finite step count")
-        if abs(steps - round(steps)) > 1e-9 * max(1.0, steps):
+        try:
+            snapshot_requests((self.t_end,), self.time_grid())
+        except ValueError:
             raise ConfigError(
                 f"t_end ({self.t_end}) must be an integer multiple of dt ({self.dt}) "
                 "so refined runs end at a common time"
-            )
+            ) from None
 
 
 def _as_float(value: str, where: str) -> float:
@@ -311,7 +287,7 @@ KEYS: Dict[str, Tuple[_Kind, Tuple[str, ...]]] = {
     "x_max": (_FLOAT, _STEPPED),
     "nx": (_INT, _STEPPED),
     "dt": (_FLOAT, _STEPPED),
-    "t_end": (_FLOAT, _STEPPED),
+    "t_end": (_FLOAT, ("run", "converge")),
     "ic": (_IC, _STEPPED),
     "snapshot_times": (_FLOATS, ("run",)),
     "paper_normalization": (_BOOL, ("run", "converge")),

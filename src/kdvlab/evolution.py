@@ -12,7 +12,7 @@ from .model import TimeGrid, WaveField, mass
 from .record import Frozen, Record
 
 __all__ = ["MAX_AMPLITUDE", "SnapshotDiagnostics", "RunResult", "evolve", "next_state",
-           "peak_abscissa"]
+           "peak_abscissa", "snapshot_requests"]
 
 OUTCOME_COMPLETED = "completed"
 OUTCOME_BLOW_UP = "blow-up"
@@ -84,8 +84,9 @@ class RunResult(Record):
     ``outcome`` is ``"completed"``, ``"blow-up"`` or ``"solver-failure"``.
     A blow-up carries the offending step index, a solver failure its step
     and the solver's message, and both whatever snapshots were recorded
-    before it.  On completion the snapshot count equals the requested
-    count.  ``picard_solves`` holds the Picard solves of each completed
+    before it.  On completion it holds one snapshot per request:
+    :func:`evolve` refuses a request that the last time level does not
+    reach.  ``picard_solves`` holds the Picard solves of each completed
     step, or None for a scheme without Picard iteration.
     """
 
@@ -101,6 +102,28 @@ class RunResult(Record):
         return self.outcome == OUTCOME_COMPLETED
 
 
+def _due(t: float, request: float) -> bool:
+    # at or after the request, with slack for a last step that lands an ulp short of it
+    return t >= request - 1e-12 * (1.0 + abs(request))
+
+
+def snapshot_requests(snapshot_times: Sequence[float], time: TimeGrid, start=0.0) -> tuple:
+    """The requested snapshot times as floats, so that a run from ``start`` records each.
+
+    Raises ValueError unless they ascend from 0 and the last time level,
+    ``start + (nt - 1)·dt``, is due for the last of them.
+    """
+    requested = tuple(float(t) for t in snapshot_times)
+    for a, b in zip(requested, requested[1:]):
+        if b < a:
+            raise ValueError(f"snapshot_times must be ascending, got {a} before {b}")
+    last = start + (time.nt - 1) * time.dt
+    if requested and not (requested[0] >= 0.0 and _due(last, requested[-1])):
+        raise ValueError(f"snapshot_times must lie in [0, {last}], the last time level of "
+                         f"t_end={time.t_end} and dt={time.dt}, got {requested}")
+    return requested
+
+
 def evolve(
     ic: WaveField,
     time: TimeGrid,
@@ -110,33 +133,20 @@ def evolve(
     """March ``ic`` forward with ``step`` and record snapshots.
 
     Each requested time is satisfied by the first state whose time is at
-    or after it (the initial state counts).  Requested times must be
-    ascending and inside [0, t_end].  Blow-up raised by ``step`` ends
-    the run and is recorded as the outcome, not re-raised.  A
+    or after it (the initial state counts).  The requests must pass
+    :func:`snapshot_requests` from ``ic.time``, so a completed run holds
+    every one of them.  Blow-up raised by ``step`` ends the run and is
+    recorded as the outcome, not re-raised.  A
     :class:`SingularMatrixError` or :class:`FixedPointError` propagates
     with the step index prefixed to its message and the partial result,
     outcome ``"solver-failure"``, attached as its ``result``.
     """
-    requested = tuple(float(t) for t in snapshot_times)
-    for a, b in zip(requested, requested[1:]):
-        if b < a:
-            raise ValueError(f"snapshot times must be ascending, got {a} before {b}")
-    last_time = ic.time + (time.nt - 1) * time.dt
-    if requested:
-        tol = 1e-12 * (1.0 + abs(requested[-1]))
-        if requested[0] < 0.0 or requested[-1] > max(time.t_end, last_time) + tol:
-            raise ValueError(
-                f"snapshot times must lie in [0, {time.t_end}], got {requested}"
-            )
-
+    pending = list(snapshot_requests(snapshot_times, time, ic.time))
     snapshots: list = []
     diagnostics: list = []
-    pending = list(requested)
 
     def record_due(state: WaveField, t: float) -> None:
-        # Tiny slack so a final step landing an ulp short of its nominal
-        # time still satisfies a request at that time.
-        while pending and t >= pending[0] - 1e-12 * (1.0 + abs(pending[0])):
+        while pending and _due(t, pending[0]):
             if state.time != t:  # label with n*dt: summing t + dt drifts by ulps
                 state = WaveField(state.grid, t, state.values)
             snapshots.append(state)

@@ -24,7 +24,6 @@ __all__ = [
     "TimeGrid",
     "WaveField",
     "SchemeParams",
-    "SolitonSpec",
     "sech",
     "sech_squared_profile",
     "initial_condition",
@@ -86,7 +85,8 @@ class WaveField(Frozen):
 
     Values are copied at construction and frozen; non-finite entries are
     rejected here so that blow-up is always an explicit error in the
-    stepping code, never silently stored data.
+    stepping code, never silently stored data.  Fields are equal when
+    their grids, times and values are; the hash reads grid and time only.
     """
 
     def __init__(self, grid: Grid1D, time: float, values: np.ndarray):
@@ -101,6 +101,15 @@ class WaveField(Frozen):
     def __reduce__(self):
         # copy, deepcopy and pickle rebuild through __init__, which freezes the copy
         return type(self), (self.grid, self.time, self.values)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.grid == other.grid and self.time == other.time
+                and np.array_equal(self.values, other.values))
+
+    def __hash__(self):
+        return hash((self.grid, self.time))
 
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.values)))
@@ -128,22 +137,6 @@ class SchemeParams(Frozen):
         return self.dt / self.dx
 
 
-class SolitonSpec(Frozen):
-    """Parameters of a sech^2 pulse u = amplitude * sech^2(x/width) moving at ``speed``."""
-
-    def __init__(self, amplitude: float, width: float, speed: float):
-        if width == 0:
-            raise ValueError("width must be nonzero")
-        self.__dict__.update(amplitude=amplitude, width=width, speed=speed)
-
-    @classmethod
-    def from_wave_speed(cls, c: float) -> "SolitonSpec":
-        """Pulse with amplitude c/8 and argument scale (sqrt(c)/2) x."""
-        if c <= 0:
-            raise ValueError(f"wave speed c must be positive, got {c}")
-        return cls(amplitude=c / 8.0, width=2.0 / math.sqrt(c), speed=c)
-
-
 def sech(x):
     """Hyperbolic secant 2/(e^x + e^-x), computed overflow-free.
 
@@ -167,8 +160,7 @@ def initial_condition(grid: Grid1D, c: float) -> WaveField:
     """Standard initial pulse u(x, 0) = (c/8) sech^2((sqrt(c)/2) x)."""
     if c <= 0:
         raise ValueError(f"wave speed c must be positive, got {c}")
-    spec = SolitonSpec.from_wave_speed(c)
-    return sech_squared_profile(grid, spec.amplitude, spec.width)
+    return sech_squared_profile(grid, c / 8.0, 2.0 / math.sqrt(c))
 
 
 def appendix_profile(grid: Grid1D) -> WaveField:

@@ -50,7 +50,7 @@ def test_empty_config_is_demo_preset():
     assert (cfg.x_min, cfg.x_max, cfg.nx) == (-20.0, 20.0, 4001)
     assert cfg.dt == 0.01
     assert cfg.t_end == 10.0
-    assert cfg.ic_kind == "appendix"
+    assert cfg.ic == ("appendix", None)
     assert cfg.snapshot_times == tuple(k + 0.01 for k in range(1, 9))
     assert cfg.paper_normalization is False
 
@@ -79,8 +79,7 @@ def test_config_rejects_unknown_key_with_line():
 def test_config_implicit_traveling():
     cfg = parse_config("scheme = cn-implicit\nic = traveling 0.5")
     assert cfg.scheme == "cn-implicit"
-    assert cfg.ic_kind == "traveling"
-    assert cfg.ic_value == 0.5
+    assert cfg.ic == ("traveling", 0.5)
 
 
 def test_config_wave_speed_ic():
@@ -315,11 +314,19 @@ def test_keys_of_other_commands_are_unknown():
         parse_converge_config("snapshot_times = 0.5")
 
 
-def test_eigen_accepts_a_horizon_before_the_run_snapshots(capsys):
-    # eigen takes no snapshot times, so the run's defaults (up to 8.01) do not apply
-    assert parse_eigen_config("t_end = 5").snapshot_times == ()
-    assert main(["eigen", "--nx", "54", "--t_end", "5", "--power_max_iters", "50"]) == 0
+def test_eigen_rejects_t_end_and_takes_no_snapshots(capsys):
+    # eigen probes A at t = 0: it reads no horizon, and the run's snapshot times do not apply
+    with pytest.raises(ConfigError, match="unknown key for the eigen command"):
+        parse_eigen_config("t_end = 5")
+    assert main(["eigen", "--nx", "54", "--t_end", "5", "--power_max_iters", "50"]) == 1
+    assert "unrecognized arguments: --t_end 5" in capsys.readouterr().err
+    assert parse_eigen_config("").snapshot_times == ()
+    assert main(["eigen", "--nx", "54", "--power_max_iters", "50"]) == 0
     assert capsys.readouterr().out.startswith("kdvlab eigen probe\n")
+    # its time grid is still the default horizon's: a dt that overflows 10/dt is refused
+    assert main(["eigen", "--nx", "54", "--dt", "5e-308"]) == 1
+    assert capsys.readouterr().err == (
+        "kdvlab eigen: error: t_end/dt = 10.0/5e-308 is not a finite step count\n")
 
 
 def test_eigen_rejects_output_dir(tmp_path, capsys):
@@ -358,6 +365,30 @@ def test_step_count_that_overflows_is_a_clean_error(tmp_path, capsys, command):
     assert main(args + (["--nx", "9", "--snapshot_times", "0"] if command == "run" else [])) == 1
     assert capsys.readouterr().err == (
         f"kdvlab {command}: error: t_end/dt = 1e+300/1e-300 is not a finite step count\n")
+    assert not out.exists()
+
+
+def test_run_refuses_a_snapshot_past_the_last_time_level(tmp_path, capsys):
+    # dt 0.3 reaches t = 0.9, not t_end = 1, so the request at 1 could never be recorded
+    out = tmp_path / "out"
+    args = ["run", "--nx", "41", "--x_min", "-10", "--x_max", "10", "--t_end", "1",
+            "--dt", "0.3", "--snapshot_times", "0,1", "--output_dir", str(out)]
+    assert main(args) == 1
+    assert capsys.readouterr().err == (
+        "kdvlab run: error: snapshot_times must lie in [0, 0.8999999999999999], the last "
+        "time level of t_end=1.0 and dt=0.3, got (0.0, 1.0)\n")
+    assert not out.exists()
+
+
+def test_converge_refuses_a_t_end_that_its_time_levels_miss(tmp_path, capsys):
+    # t_end/dt is within 1e-9 of 10, but the time grid floors it to 9 steps, ending at 0.9
+    out = tmp_path / "out"
+    args = ["converge", "--dt", "0.10000000005", "--t_end", "1", "--nx", "41",
+            "--x_min", "-16", "--x_max", "20", "--levels", "2", "--output_dir", str(out)]
+    assert main(args) == 1
+    assert capsys.readouterr().err == (
+        "kdvlab converge: error: t_end (1.0) must be an integer multiple of dt "
+        "(0.10000000005) so refined runs end at a common time\n")
     assert not out.exists()
 
 

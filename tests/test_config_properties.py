@@ -1,10 +1,12 @@
-"""Property tests for the config key table: the metadata echo parses back."""
+"""Property tests for the config key table and the run-input rules."""
 
+import tempfile
 from pathlib import Path
 
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from kdvlab.cli import cmd_run
 from kdvlab.config import (
     GAMMA_MODES,
     REFINE_MODES,
@@ -14,6 +16,7 @@ from kdvlab.config import (
     parse_config,
     parse_converge_config,
 )
+from kdvlab.errors import ConfigError
 
 positive = st.floats(min_value=1e-300, max_value=1e300, allow_nan=False)
 # '#' and line breaks are reserved by the file format, and values are
@@ -28,9 +31,12 @@ text = st.text(
 def run_configs(draw):
     x_min = draw(st.floats(min_value=-1e6, max_value=1e6))
     x_max = draw(st.floats(min_value=x_min, max_value=2e6, exclude_min=True))
-    t_end = draw(positive)
-    ic_kind = draw(st.sampled_from(["appendix", "paper-eq2", "traveling", "file"]))
-    ic_value = {"appendix": st.none(), "file": text}.get(ic_kind, positive)
+    # t_end is a whole number of steps, so it is the last time level, and
+    # every snapshot lies at or below it
+    dt = draw(st.floats(min_value=1e-300, max_value=1e297))
+    t_end = dt * draw(st.integers(min_value=1, max_value=1000))
+    kind = draw(st.sampled_from(["appendix", "paper-eq2", "traveling", "file"]))
+    param = {"appendix": st.none(), "file": text}.get(kind, positive)
     times = draw(st.lists(st.floats(min_value=0.0, max_value=t_end), max_size=5))
     output_dir = draw(text.map(Path).filter(lambda p: str(p) == str(p).strip()))
     return RunConfig(
@@ -39,10 +45,9 @@ def run_configs(draw):
         x_min=x_min,
         x_max=x_max,
         nx=draw(st.integers(min_value=7, max_value=10**9)),
-        dt=draw(positive),
+        dt=dt,
         t_end=t_end,
-        ic_kind=ic_kind,
-        ic_value=draw(ic_value),
+        ic=(kind, draw(param)),
         snapshot_times=tuple(sorted(times)),
         paper_normalization=draw(st.booleans()),
         output_dir=output_dir,
@@ -61,12 +66,8 @@ def test_run_echo_round_trips(cfg):
 @st.composite
 def converge_configs(draw):
     run = draw(run_configs())
-    # the study needs t_end to be a whole number of steps
-    steps = draw(st.integers(min_value=1, max_value=1000))
     return ConvergeConfig(
-        **{name: getattr(run, name) for name in RunConfig.defaults
-           if name not in ("t_end", "snapshot_times")},
-        t_end=run.dt * steps,
+        **{name: getattr(run, name) for name in RunConfig.defaults if name != "snapshot_times"},
         levels=draw(st.integers(min_value=1, max_value=10**9)),
         refine=draw(st.sampled_from(REFINE_MODES)),
     )
@@ -78,3 +79,34 @@ def test_converge_echo_round_trips(cfg):
     lines = cfg.echo_lines()
     assert parse_converge_config("\n".join(lines)) == cfg
     assert parse_converge_config("", [line.split(" = ", 1) for line in lines]) == cfg
+
+
+@st.composite
+def stepping_inputs(draw):
+    """(t_end, dt, snapshot_times) of a run of at most 200 steps."""
+    dt = draw(st.floats(min_value=1e-3, max_value=1.0))
+    t_end = draw(st.floats(min_value=0.0, max_value=200 * dt, exclude_min=True))
+    request = st.one_of(
+        st.floats(min_value=0.0, max_value=1.1 * t_end),
+        st.just(t_end),
+        st.integers(min_value=0, max_value=200).map(lambda k: k * dt),  # on a level
+    )
+    return t_end, dt, tuple(sorted(draw(st.lists(request, max_size=5))))
+
+
+@settings(max_examples=100, deadline=None)
+@given(stepping_inputs())
+@example((1.0, 0.3, (0.0, 1.0)))  # dt 0.3 stops at 0.9, short of the request at 1
+def test_a_run_that_parses_records_every_request_unless_it_blows_up(inputs):
+    t_end, dt, times = inputs
+    overrides = [("scheme", "explicit"), ("nx", "9"), ("t_end", repr(t_end)),
+                 ("dt", repr(dt)), ("snapshot_times", ",".join(map(repr, times)))]
+    try:
+        cfg = parse_config("", overrides)
+    except ConfigError:
+        return
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg.output_dir = Path(tmp)
+        cmd_run(cfg)
+        meta = (cfg.output_dir / "run.meta").read_text().splitlines()
+    assert "outcome = blow-up" in meta or f"snapshot_count = {len(times)}" in meta

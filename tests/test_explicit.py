@@ -226,6 +226,14 @@ def test_evolve_rejects_bad_snapshot_times():
         evolve(f, TimeGrid(1.0, 0.1), [0.5, 0.25], lambda s: s)
     with pytest.raises(ValueError):
         evolve(f, TimeGrid(1.0, 0.1), [2.0], lambda s: s)
+    # the levels are 0, 0.3, 0.6 and 0.9: a request at t_end = 1 is never reached
+    with pytest.raises(ValueError, match=r"snapshot_times must lie in \[0, 0.8999999999999999\]"):
+        evolve(f, TimeGrid(1.0, 0.3), [1.0], lambda s: s)
+    # the levels count from the initial state's time
+    later = WaveField(g, 0.5, np.zeros(11))
+    assert len(evolve(later, TimeGrid(1.0, 0.25), [1.5], lambda s: s).snapshots) == 1
+    with pytest.raises(ValueError, match="snapshot_times must lie in"):
+        evolve(later, TimeGrid(1.0, 0.25), [1.6], lambda s: s)
 
 
 def test_evolve_attaches_step_context_to_solver_errors():

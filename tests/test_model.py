@@ -16,7 +16,6 @@ from kdvlab.evolution import SnapshotDiagnostics
 from kdvlab.model import (
     Grid1D,
     SchemeParams,
-    SolitonSpec,
     TimeGrid,
     WaveField,
     appendix_profile,
@@ -123,17 +122,6 @@ def test_scheme_params_ratios():
         SchemeParams(dx=-0.1, dt=0.01)
 
 
-def test_soliton_spec_from_wave_speed():
-    s = SolitonSpec.from_wave_speed(4.0)
-    assert s.amplitude == 0.5
-    assert s.width == 1.0
-    assert s.speed == 4.0
-    with pytest.raises(ValueError):
-        SolitonSpec.from_wave_speed(0.0)
-    with pytest.raises(ValueError):
-        SolitonSpec(amplitude=1.0, width=0.0, speed=1.0)
-
-
 # ---------------------------------------------------------------------------
 # value semantics of the record types
 # ---------------------------------------------------------------------------
@@ -174,6 +162,26 @@ def test_wavefield_copies_keep_read_only_values(how):
         clone.values[0] = 1.0
 
 
+@pytest.mark.parametrize("how", sorted(_COPIES))
+def test_wavefield_copies_equal_and_hash_like_the_original(how):
+    field = WaveField(Grid1D(0.0, 1.0, 11), 0.5, np.arange(11.0))
+    clone = _COPIES[how](field)
+    assert clone == field and hash(clone) == hash(field) and len({field, clone}) == 1
+
+
+def test_wavefields_compare_grid_time_and_values():
+    g = Grid1D(0.0, 1.0, 11)
+    zero = WaveField(g, 0.0, np.zeros(11))
+    negative_zero = WaveField(g, -0.0, np.full(11, -0.0))
+    assert zero == negative_zero and hash(zero) == hash(negative_zero)
+    assert zero != WaveField(g, 0.5, np.zeros(11))
+    assert zero != WaveField(Grid1D(0.0, 2.0, 11), 0.0, np.zeros(11))
+    tiny = np.zeros(11)
+    tiny[4] = 5e-324
+    assert zero != WaveField(g, 0.0, tiny)
+    assert zero != (g, 0.0, zero.values)  # a value of its own type, not a tuple
+
+
 _GRID = Grid1D(0.0, 1.0, 11)
 _PARAMS = SchemeParams(dx=0.1, dt=0.01)
 
@@ -183,7 +191,6 @@ FROZEN = [
     (TimeGrid(1.0, 0.1), "nt"),
     (WaveField(_GRID, 0.0, np.zeros(11)), "values"),
     (_PARAMS, "dt"),
-    (SolitonSpec(1.0, 2.0, 3.0), "width"),
     (CnConfig(_PARAMS), "paper_normalization"),
     (SnapshotDiagnostics(0.0, 1.0, 2.0, 3.0), "mass"),
     (PowerIterationReport(1.0, 3, True, 0.0), "estimate"),
@@ -217,7 +224,6 @@ def test_record_fields_cannot_be_assigned_or_deleted(value, name):
     (lambda: WaveField(_GRID, 0.0, np.full(11, math.inf)), "must be finite"),
     (lambda: SchemeParams(dx=0.0, dt=0.1), "must be positive"),
     (lambda: SchemeParams(dx=0.1, dt=-0.1), "must be positive"),
-    (lambda: SolitonSpec(1.0, 0.0, 1.0), "width must be nonzero"),
 ])
 def test_record_constructors_check_their_inputs(build, match):
     with pytest.raises(ValueError, match=match):
@@ -234,6 +240,17 @@ def test_initial_condition_center_values():
     assert initial_condition(g, 1.0).values[2000] == pytest.approx(0.125, abs=1e-15)
     with pytest.raises(ValueError):
         initial_condition(g, -1.0)
+
+
+def test_initial_condition_amplitude_and_width():
+    # wave speed c gives amplitude c/8 and width 2/sqrt(c): c = 4 is 0.5 sech^2(x)
+    g = Grid1D(-10.0, 10.0, 201)
+    assert initial_condition(g, 4.0) == sech_squared_profile(g, 0.5, 1.0)
+    for c in (0.0, -1.0):
+        with pytest.raises(ValueError, match="wave speed c must be positive"):
+            initial_condition(g, c)
+    with pytest.raises(ValueError, match="width must be nonzero"):
+        sech_squared_profile(g, 1.0, 0.0)
 
 
 def test_appendix_profile_center_and_decay():
