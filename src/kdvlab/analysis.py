@@ -43,6 +43,7 @@ __all__ = [
     "apply_stencil",
     "cn_amplification",
     "explicit_amplification",
+    "scan_ratios",
     "stability_scan",
     "truncation_error",
     "observed_order",
@@ -155,6 +156,20 @@ class ScanRow(Frozen):
         self.__dict__.update(alpha=alpha, beta=beta, u0=u0, max_magnitude=max_magnitude)
 
 
+def scan_ratios(scheme: str, ratios: Sequence[Tuple[float, float]]) -> list:
+    """The (alpha, beta) pairs of a ``scheme`` scan as floats; raises ValueError
+    unless the scheme is 'cn' or 'explicit' and every ratio is finite and positive."""
+    if scheme not in (SCHEME_CN, SCHEME_EXPLICIT):
+        raise ValueError(f"unknown scheme {scheme!r}; expected 'cn' or 'explicit'")
+    ratios = [(float(alpha), float(beta)) for alpha, beta in ratios]
+    for alpha, beta in ratios:
+        if not (0.0 < alpha < math.inf and 0.0 < beta < math.inf):
+            raise ValueError(
+                f"alpha and beta must be finite and positive, got {alpha!r}, {beta!r}"
+            )
+    return ratios
+
+
 def stability_scan(
     scheme: str,
     ratios: Sequence[Tuple[float, float]],
@@ -172,14 +187,7 @@ def stability_scan(
     for t in thetas:
         if t < 0.0 or t > math.pi:
             raise ValueError(f"theta samples must lie in [0, pi], got {t}")
-    if scheme not in (SCHEME_CN, SCHEME_EXPLICIT):
-        raise ValueError(f"unknown scheme {scheme!r}; expected 'cn' or 'explicit'")
-    ratios = [(float(alpha), float(beta)) for alpha, beta in ratios]
-    for alpha, beta in ratios:
-        if not (0.0 < alpha < math.inf and 0.0 < beta < math.inf):
-            raise ValueError(
-                f"alpha and beta must be finite and positive, got {alpha!r}, {beta!r}"
-            )
+    ratios = scan_ratios(scheme, ratios)
     # math.sin, as in the scalar factors, so each block element is their
     # |lambda| bit for bit
     sin1 = np.array([math.sin(t) for t in thetas])

@@ -98,16 +98,13 @@ def cmd_scan(cfg: ScanConfig) -> int:
     return EXIT_OK
 
 
-def eigen_report_text(
-    A: Pentadiagonal, tol: float = 1e-10, max_iters: int = 10_000
-) -> str:
+def eigen_report_text(A: Pentadiagonal) -> str:
     """Spectral probe report for one matrix: power iteration, sigma_max and the certificate.
 
     sigma_max is :func:`symbol_bound`, a certified upper bound for every A;
-    ``tol`` and ``max_iters`` drive only the power-iteration probe.
+    the power-iteration probe runs with its default stopping rule.
     """
-    b0 = np.ones(A.n) / math.sqrt(A.n)
-    plain = power_iteration(A, b0, tol=tol, max_iters=max_iters)
+    plain = power_iteration(A, np.ones(A.n) / math.sqrt(A.n))
     cert = invertibility_certificate(A)
     lines = [
         f"n = {A.n}",
@@ -134,7 +131,7 @@ def cmd_eigen(cfg: EigenConfig, out=None) -> int:
         f"matrix: lagged-coefficient interior A at t = 0 ({cfg.gamma_mode})\n"
         f"alpha = {_fmt(cfg.scheme_params().alpha)} beta = {_fmt(cfg.scheme_params().beta)}\n"
     )
-    out.write(header + eigen_report_text(A, cfg.power_tol, cfg.power_max_iters))
+    out.write(header + eigen_report_text(A))
     return EXIT_OK
 
 

@@ -19,6 +19,7 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Callable, Dict, Iterable, Optional, Tuple
 
+from .analysis import scan_ratios
 from .crank_nicolson import CnConfig, GammaMode, LinearizationKind
 from .errors import ConfigError
 from .evolution import snapshot_requests
@@ -144,20 +145,10 @@ class RunConfig(_Config):
 
 
 class EigenConfig(RunConfig):
-    """Run configuration plus the power-iteration controls of the eigen probe."""
+    """Run configuration of the eigen probe, which takes no snapshots."""
 
     command = "eigen"
-    defaults = MappingProxyType(dict(RunConfig.defaults, snapshot_times=(), power_tol=1e-10,
-                                     power_max_iters=10_000))
-
-    def validate(self) -> None:
-        super().validate()
-        if self.power_tol <= 0:
-            raise ConfigError(f"power_tol must be positive, got {self.power_tol}")
-        if self.power_max_iters < 1:
-            raise ConfigError(
-                f"power_max_iters must be >= 1, got {self.power_max_iters}"
-            )
+    defaults = MappingProxyType(dict(RunConfig.defaults, snapshot_times=()))
 
 
 class ScanConfig(_Config):
@@ -168,14 +159,11 @@ class ScanConfig(_Config):
                                      u0_list=(0.0,), n_theta=257, output_dir=Path("out")))
 
     def validate(self) -> None:
-        if self.scheme not in ("cn", "explicit"):
-            raise ConfigError(
-                f"scan scheme must be 'cn' or 'explicit', got {self.scheme!r}"
-            )
-        for name, values in (("alpha_list", self.alpha_list), ("beta_list", self.beta_list)):
-            for v in values:
-                if v <= 0:
-                    raise ConfigError(f"{name} entries must be positive, got {v}")
+        # the scan checks its scheme and mesh ratios itself
+        try:
+            scan_ratios(self.scheme, [(a, b) for a in self.alpha_list for b in self.beta_list])
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         if self.n_theta < 2:
             raise ConfigError(f"n_theta must be >= 2, got {self.n_theta}")
 
@@ -197,6 +185,11 @@ class ConvergeConfig(RunConfig):
         if self.refine not in REFINE_MODES:
             raise ConfigError(
                 f"refine must be one of {REFINE_MODES}, got {self.refine!r}"
+            )
+        if self.ic[0] == "file" and self.refine != "time" and self.levels > 1:
+            raise ConfigError(
+                f"ic file needs refine = time when levels > 1, got refine = {self.refine}: "
+                "the file holds one grid, and refining in space gives each level another"
             )
         try:
             snapshot_requests((self.t_end,), self.time_grid())
@@ -243,12 +236,6 @@ def _as_ic(value: str, where: str) -> Tuple[str, Optional[object]]:
     kind = parts[0] if parts else ""
     if len(parts) == 2:
         return kind, parts[1] if kind == "file" else _as_float(parts[1], where)
-    if kind in ("paper-eq2", "traveling"):
-        raise ConfigError(
-            f"{where}: ic {kind} needs a parameter, e.g. 'ic = {kind} 0.5'"
-        )
-    if kind == "file":
-        raise ConfigError(f"{where}: ic file needs a path")
     return kind, None
 
 
@@ -298,8 +285,6 @@ KEYS: Dict[str, Tuple[_Kind, Tuple[str, ...]]] = {
     "output_dir": (_PATH, ("run", "scan", "converge")),
     "levels": (_INT, ("converge",)),
     "refine": (_TEXT, ("converge",)),
-    "power_tol": (_FLOAT, ("eigen",)),
-    "power_max_iters": (_INT, ("eigen",)),
 }
 
 Overrides = Iterable[Tuple[str, str]]
@@ -336,7 +321,7 @@ def parse_config(text: str, overrides: Overrides = ()) -> RunConfig:
 
 
 def parse_eigen_config(text: str, overrides: Overrides = ()) -> EigenConfig:
-    """Like :func:`parse_config` but also accepts the power-probe keys."""
+    """Parse an eigen-probe configuration: the grid, step and initial-field keys of a run."""
     return _parse(EigenConfig, text, overrides)
 
 

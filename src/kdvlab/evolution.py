@@ -108,10 +108,11 @@ def _due(t: float, request: float) -> bool:
 
 
 def snapshot_requests(snapshot_times: Sequence[float], time: TimeGrid, start=0.0) -> tuple:
-    """The requested snapshot times as floats, so that a run from ``start`` records each.
+    """The time level n that records each requested snapshot in a run from ``start``.
 
-    Raises ValueError unless they ascend from 0 and the last time level,
-    ``start + (nt - 1)·dt``, is due for the last of them.
+    That is the first level ``start + n·dt`` due for it.  Raises ValueError unless
+    the requests ascend from 0, the last level, ``start + (nt - 1)·dt``, is due
+    for the last of them, and no two of them select the same level.
     """
     requested = tuple(float(t) for t in snapshot_times)
     for a, b in zip(requested, requested[1:]):
@@ -121,7 +122,20 @@ def snapshot_requests(snapshot_times: Sequence[float], time: TimeGrid, start=0.0
     if requested and not (requested[0] >= 0.0 and _due(last, requested[-1])):
         raise ValueError(f"snapshot_times must lie in [0, {last}], the last time level of "
                          f"t_end={time.t_end} and dt={time.dt}, got {requested}")
-    return requested
+    levels = []
+    for t in requested:
+        lo, hi = 0, time.nt - 1  # bisect for the first level due for t: the last one is
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if _due(start + mid * time.dt, t):
+                hi = mid
+            else:
+                lo = mid + 1
+        if levels and levels[-1] == lo:
+            raise ValueError(f"snapshot_times {requested[len(levels) - 1]} and {t} both "
+                             f"select the time level t = {start + lo * time.dt}")
+        levels.append(lo)
+    return tuple(levels)
 
 
 def evolve(
@@ -133,39 +147,33 @@ def evolve(
     """March ``ic`` forward with ``step`` and record snapshots.
 
     Each requested time is satisfied by the first state whose time is at
-    or after it (the initial state counts).  The requests must pass
-    :func:`snapshot_requests` from ``ic.time``, so a completed run holds
-    every one of them.  Blow-up raised by ``step`` ends the run and is
-    recorded as the outcome, not re-raised.  A
+    or after it (the initial state counts): the level that
+    :func:`snapshot_requests` from ``ic.time`` gives it, so a completed
+    run holds every one of them.  Blow-up raised by ``step`` ends the
+    run and is recorded as the outcome, not re-raised.  A
     :class:`SingularMatrixError` or :class:`FixedPointError` propagates
     with the step index prefixed to its message and the partial result,
     outcome ``"solver-failure"``, attached as its ``result``.
     """
-    pending = list(snapshot_requests(snapshot_times, time, ic.time))
+    levels = snapshot_requests(snapshot_times, time, ic.time)
     snapshots: list = []
     diagnostics: list = []
-
-    def record_due(state: WaveField, t: float) -> None:
-        while pending and _due(t, pending[0]):
-            if state.time != t:  # label with n*dt: summing t + dt drifts by ulps
-                state = WaveField(state.grid, t, state.values)
-            snapshots.append(state)
-            diagnostics.append(SnapshotDiagnostics.of(state))
-            pending.pop(0)
-
-    state = ic
-    record_due(state, ic.time)
-    for n in range(1, time.nt):
-        if not pending:
-            break
-        try:
-            state = step(state)
-        except BlowUpError:
-            return RunResult(snapshots, diagnostics, OUTCOME_BLOW_UP, blow_up_step=n)
-        except (SingularMatrixError, FixedPointError) as exc:
-            exc.result = RunResult(snapshots, diagnostics, OUTCOME_SOLVER_FAILURE,
-                                   failure_step=n, failure=str(exc))
-            exc.args = (f"step {n}: {exc}",)
-            raise
-        record_due(state, ic.time + n * time.dt)
+    state, n = ic, 0
+    for level in levels:
+        while n < level:
+            n += 1
+            try:
+                state = step(state)
+            except BlowUpError:
+                return RunResult(snapshots, diagnostics, OUTCOME_BLOW_UP, blow_up_step=n)
+            except (SingularMatrixError, FixedPointError) as exc:
+                exc.result = RunResult(snapshots, diagnostics, OUTCOME_SOLVER_FAILURE,
+                                       failure_step=n, failure=str(exc))
+                exc.args = (f"step {n}: {exc}",)
+                raise
+        t = ic.time + n * time.dt
+        # label with n*dt: summing t + dt drifts by ulps
+        snapshot = state if state.time == t else WaveField(state.grid, t, state.values)
+        snapshots.append(snapshot)
+        diagnostics.append(SnapshotDiagnostics.of(snapshot))
     return RunResult(snapshots, diagnostics, OUTCOME_COMPLETED)

@@ -686,10 +686,10 @@ def test_symbol_bound_matches_the_cn_symbol(nx):
 
 def test_eigen_report_makes_only_the_plain_probes_products(monkeypatch):
     # the default row-varying eigen matrix: sigma_max costs no product at all
-    A, _, cfg = _default_lagged(4001, "row-varying")
-    k = power_iteration(A, np.ones(A.n), cfg.power_tol, cfg.power_max_iters).iterations
+    A, _, _ = _default_lagged(4001, "row-varying")
+    k = power_iteration(A, np.ones(A.n)).iterations
     counts = _count_products(monkeypatch)
-    report = eigen_report_text(A, cfg.power_tol, cfg.power_max_iters)
+    report = eigen_report_text(A)
     assert counts == {"matvec": k + 1}
     assert "symbol_bound: sigma_max = 12990.730975188442 kind = upper-bound\n" in report
 

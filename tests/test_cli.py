@@ -15,11 +15,13 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import kdvlab
-from kdvlab import banded
+from kdvlab import banded, cli
 from kdvlab.analysis import cn_amplification, explicit_amplification
 from kdvlab.banded import Pentadiagonal
 from kdvlab.cli import cmd_eigen, eigen_report_text, execute_run, main
 from kdvlab.config import (
+    KEYS,
+    EigenConfig,
     RunConfig,
     parse_config,
     parse_converge_config,
@@ -60,8 +62,8 @@ def test_configs_compare_by_value_and_take_only_their_own_fields():
     assert parse_config("nx = 401") != parse_config("")
     assert parse_eigen_config("") != parse_config("")  # another command's config
     assert RunConfig(nx=401) == parse_config("nx = 401")
-    with pytest.raises(TypeError, match="power_tol"):
-        RunConfig(power_tol=1e-3)
+    with pytest.raises(TypeError, match="levels"):  # a converge field
+        RunConfig(levels=3)
     with pytest.raises(TypeError):  # the defaults are read-only
         RunConfig.defaults["nx"] = 401
 
@@ -104,10 +106,12 @@ def test_config_value_diagnostics_name_the_line():
         parse_config("paper_normalization = maybe")
 
 
-def test_run_config_rejects_eigen_keys():
-    with pytest.raises(ConfigError):
-        parse_config("power_tol = 1e-8")
-    assert parse_eigen_config("power_tol = 1e-8").power_tol == 1e-8
+def test_eigen_reads_only_keys_of_a_run():
+    # the probe reads the grid, step and initial field, and stops by its own default rule
+    eigen_keys = [key for key, (_, commands) in KEYS.items() if "eigen" in commands]
+    assert eigen_keys == ["gamma_mode", "x_min", "x_max", "nx", "dt", "ic"]
+    assert all("run" in KEYS[key][1] for key in eigen_keys)
+    assert EigenConfig.defaults.keys() == RunConfig.defaults.keys()
 
 
 def test_scan_and_converge_parsing():
@@ -318,10 +322,10 @@ def test_eigen_rejects_t_end_and_takes_no_snapshots(capsys):
     # eigen probes A at t = 0: it reads no horizon, and the run's snapshot times do not apply
     with pytest.raises(ConfigError, match="unknown key for the eigen command"):
         parse_eigen_config("t_end = 5")
-    assert main(["eigen", "--nx", "54", "--t_end", "5", "--power_max_iters", "50"]) == 1
+    assert main(["eigen", "--nx", "54", "--t_end", "5"]) == 1
     assert "unrecognized arguments: --t_end 5" in capsys.readouterr().err
     assert parse_eigen_config("").snapshot_times == ()
-    assert main(["eigen", "--nx", "54", "--power_max_iters", "50"]) == 0
+    assert main(["eigen", "--nx", "54"]) == 0
     assert capsys.readouterr().out.startswith("kdvlab eigen probe\n")
     # its time grid is still the default horizon's: a dt that overflows 10/dt is refused
     assert main(["eigen", "--nx", "54", "--dt", "5e-308"]) == 1
@@ -390,6 +394,38 @@ def test_converge_refuses_a_t_end_that_its_time_levels_miss(tmp_path, capsys):
         "kdvlab converge: error: t_end (1.0) must be an integer multiple of dt "
         "(0.10000000005) so refined runs end at a common time\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("times", ["0.04,0.05", "0.05,0.05"])
+def test_run_refuses_two_snapshot_requests_on_one_time_level(tmp_path, capsys, times):
+    # the levels are 0, 0.05 and 0.1: both requests would record the state at 0.05
+    out = tmp_path / "out"
+    args = ["run", "--nx", "41", "--x_min", "-10", "--x_max", "10", "--t_end", "0.1",
+            "--dt", "0.05", "--snapshot_times", times, "--output_dir", str(out)]
+    assert main(args) == 1
+    first = times.split(",")[0]
+    assert capsys.readouterr().err == (
+        f"kdvlab run: error: snapshot_times {first} and 0.05 both select the time level "
+        "t = 0.05\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args, message", [
+    (["scan", "--alpha_list=-1"], "alpha and beta must be finite and positive, got -1.0, 1.0"),
+    (["scan", "--beta_list=0"], "alpha and beta must be finite and positive, got 1000.0, 0.0"),
+    (["scan", "--scheme", "upwind"], "unknown scheme 'upwind'; expected 'cn' or 'explicit'"),
+    (["run", "--ic", "file"], "ic file needs a path"),
+], ids=["scan-alpha", "scan-beta", "scan-scheme", "run-ic-file"])
+def test_configs_refuse_with_the_message_of_the_rules_owner(tmp_path, capsys, args, message):
+    out = tmp_path / "out"
+    assert main(args + ["--output_dir", str(out)]) == 1
+    assert capsys.readouterr().err == f"kdvlab {args[0]}: error: {message}\n"
+    assert not out.exists()
+
+
+def test_a_config_built_in_code_meets_the_ic_file_rule():
+    with pytest.raises(ConfigError, match="^ic file needs a path$"):
+        RunConfig(ic=("file", None)).validate()
 
 
 def test_run_outputs_byte_identical(tmp_path):
@@ -473,7 +509,7 @@ def test_scan_command_explicit_reference_row(tmp_path):
 
 def test_eigen_command_frozen_midpoint(tmp_path):
     buf = io.StringIO()
-    cfg = parse_eigen_config("nx = 54\npower_max_iters = 500")
+    cfg = parse_eigen_config("nx = 54")
     assert cmd_eigen(cfg, out=buf) == 0
     report = buf.getvalue()
     assert "method = identity-plus-skew" in report
@@ -483,7 +519,7 @@ def test_eigen_command_frozen_midpoint(tmp_path):
 def test_eigen_command_writes_to_redirected_stdout():
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
-        assert main(["eigen", "--nx=54", "--power_max_iters=50"]) == 0
+        assert main(["eigen", "--nx=54"]) == 0
     assert buf.getvalue().startswith("kdvlab eigen probe\n")
     assert "symbol_bound: sigma_max = " in buf.getvalue()
 
@@ -511,9 +547,9 @@ EIGEN_GOLDEN = {
 
 @pytest.mark.parametrize("gamma_mode", sorted(EIGEN_GOLDEN))
 def test_eigen_report_golden(gamma_mode):
-    cfg = parse_eigen_config(f"nx = 54\npower_max_iters = 500\ngamma_mode = {gamma_mode}")
+    cfg = parse_eigen_config(f"nx = 54\ngamma_mode = {gamma_mode}")
     A, _ = assemble_lagged(cfg.initial_field(), cfg.cn_config())
-    assert eigen_report_text(A, cfg.power_tol, cfg.power_max_iters) == EIGEN_GOLDEN[gamma_mode]
+    assert eigen_report_text(A) == EIGEN_GOLDEN[gamma_mode]
 
 
 def test_eigen_report_identity_sigma():
@@ -586,6 +622,31 @@ def test_converge_command_zero_ic_flags_undefined(tmp_path):
     errs = [line.split(",")[2] for line in lines[1:3]]
     assert all(float(e) == 0.0 for e in errs)
     assert "undefined" in (tmp_path / "converge.meta").read_text()
+
+
+def test_converge_refuses_a_file_ic_unless_it_refines_only_time(tmp_path, capsys, monkeypatch):
+    # the file holds the 41-point grid; level 1 of a space refinement has 81 points
+    g = Grid1D(-20.0, 20.0, 41)
+    ic_path = tmp_path / "ic41.csv"
+    write_field_csv(ic_path, WaveField(g, 0.0, 0.5 / np.cosh(g.points()) ** 2))
+    args = ["converge", "--nx", "41", "--x_min", "-20", "--x_max", "20",
+            "--ic", f"file {ic_path}", "--levels", "2", "--t_end", "0.1"]
+    runs = []
+    monkeypatch.setattr(cli, "execute_run", lambda cfg: runs.append(cfg) or execute_run(cfg))
+    for refine in ("space", "both"):
+        out = tmp_path / refine
+        assert main(args + ["--refine", refine, "--output_dir", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"kdvlab converge: error: ic file needs refine = time when levels > 1, got "
+            f"refine = {refine}: the file holds one grid, and refining in space gives each "
+            "level another\n")
+        assert not out.exists()
+    assert runs == []  # refused before any level ran
+    assert main(args + ["--refine", "time", "--output_dir", str(tmp_path / "time")]) == 0
+    # one level needs no refined grid
+    args[args.index("--levels") + 1] = "1"
+    assert main(args + ["--output_dir", str(tmp_path / "one")]) == 0
+    assert len(runs) == 3
 
 
 def _huge_ic(tmp_path):
@@ -766,6 +827,20 @@ def test_cli_imports_neither_scipy_nor_numba(tmp_path):
     )
     assert _fresh_python(code, *small_run_args(tmp_path)) == "loaded: []"
     assert (tmp_path / "out" / "run.meta").is_file()
+
+
+def test_cli_import_adds_only_kdvlab_modules():
+    # set-up time is mostly numpy's import, so a heavy standard-library import
+    # made by kdvlab would show there first
+    code = (
+        "import sys\n"
+        "import argparse, numpy\n"
+        "before = set(sys.modules)\n"
+        "import kdvlab.cli\n"
+        "print(sorted(m for m in set(sys.modules) - before if m != '__future__'\n"
+        "             and m != 'kdvlab' and not m.startswith('kdvlab.')))\n"
+    )
+    assert _fresh_python(code) == "[]"
 
 
 def test_cli_import_builds_no_dataclasses():

@@ -17,6 +17,8 @@ from kdvlab.config import (
     parse_converge_config,
 )
 from kdvlab.errors import ConfigError
+from kdvlab.evolution import snapshot_requests
+from kdvlab.model import TimeGrid
 
 positive = st.floats(min_value=1e-300, max_value=1e300, allow_nan=False)
 # '#' and line breaks are reserved by the file format, and values are
@@ -32,12 +34,18 @@ def run_configs(draw):
     x_min = draw(st.floats(min_value=-1e6, max_value=1e6))
     x_max = draw(st.floats(min_value=x_min, max_value=2e6, exclude_min=True))
     # t_end is a whole number of steps, so it is the last time level, and
-    # every snapshot lies at or below it
+    # every snapshot lies at or below it, each on its own level
     dt = draw(st.floats(min_value=1e-300, max_value=1e297))
     t_end = dt * draw(st.integers(min_value=1, max_value=1000))
     kind = draw(st.sampled_from(["appendix", "paper-eq2", "traveling", "file"]))
     param = {"appendix": st.none(), "file": text}.get(kind, positive)
-    times = draw(st.lists(st.floats(min_value=0.0, max_value=t_end), max_size=5))
+    times = ()
+    for t in sorted(draw(st.lists(st.floats(min_value=0.0, max_value=t_end), max_size=5))):
+        try:
+            snapshot_requests(times + (t,), TimeGrid(t_end, dt))
+        except ValueError:  # t selects the level of the request before it
+            continue
+        times += (t,)
     output_dir = draw(text.map(Path).filter(lambda p: str(p) == str(p).strip()))
     return RunConfig(
         scheme=draw(st.sampled_from(SCHEMES)),
@@ -48,7 +56,7 @@ def run_configs(draw):
         dt=dt,
         t_end=t_end,
         ic=(kind, draw(param)),
-        snapshot_times=tuple(sorted(times)),
+        snapshot_times=times,
         paper_normalization=draw(st.booleans()),
         output_dir=output_dir,
     )
@@ -69,7 +77,8 @@ def converge_configs(draw):
     return ConvergeConfig(
         **{name: getattr(run, name) for name in RunConfig.defaults if name != "snapshot_times"},
         levels=draw(st.integers(min_value=1, max_value=10**9)),
-        refine=draw(st.sampled_from(REFINE_MODES)),
+        # a file holds one grid, so only time refinement reads it at every level
+        refine=draw(st.sampled_from(("time",) if run.ic[0] == "file" else REFINE_MODES)),
     )
 
 

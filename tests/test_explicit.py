@@ -236,6 +236,21 @@ def test_evolve_rejects_bad_snapshot_times():
         evolve(later, TimeGrid(1.0, 0.25), [1.6], lambda s: s)
 
 
+def test_evolve_refuses_two_requests_on_one_time_level():
+    # the levels are 0, 0.05 and 0.1; a request is recorded at the first level due for it
+    g = Grid1D(0.0, 1.0, 11)
+    f = WaveField(g, 0.0, np.zeros(11))
+    for times in ([0.04, 0.05], [0.05, 0.05], [0.0, 0.05 - 1e-14, 0.05]):
+        with pytest.raises(ValueError, match=r"both select the time level t = 0.05$"):
+            evolve(f, TimeGrid(0.1, 0.05), times, lambda s: s)
+    result = evolve(f, TimeGrid(0.1, 0.05), [0.0, 0.01, 0.1 - 1e-14], lambda s: s)
+    assert [s.time for s in result.snapshots] == [0.0, 0.05, 0.1]
+    # the levels count from the initial state's time: 0.5, 0.55 and 0.6
+    later = WaveField(g, 0.5, np.zeros(11))
+    with pytest.raises(ValueError, match=r"snapshot_times 0.2 and 0.5 both select .* t = 0.5$"):
+        evolve(later, TimeGrid(0.1, 0.05), [0.2, 0.5], lambda s: s)
+
+
 def test_evolve_attaches_step_context_to_solver_errors():
     from kdvlab.errors import FixedPointError, SingularMatrixError
 
