@@ -22,7 +22,6 @@ from .banded import (
     CertificateReport,
     Pentadiagonal,
     PowerIterationReport,
-    dense_reference_solve,
     invertibility_certificate,
     matvec,
     power_iteration,

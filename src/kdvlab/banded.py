@@ -9,8 +9,7 @@ rows to the five bands, and both solve paths factor that same array.
 The factorisation is LAPACK's ``dgbtrf``/``dgbtrs``, called through
 ``ctypes`` in the LAPACK that numpy links; where no such symbol
 resolves, a hand-rolled kernel, which is also the reference the tests
-compare against, does the same elimination in Python.  A dense
-reference solve is provided purely as a test oracle.
+compare against, does the same elimination in Python.
 """
 
 from __future__ import annotations
@@ -34,7 +33,6 @@ __all__ = [
     "solve_banded",
     "solve_backend",
     "reference_solve_banded",
-    "dense_reference_solve",
     "power_iteration",
     "symbol_bound",
     "invertibility_certificate",
@@ -106,15 +104,6 @@ class Pentadiagonal:
             sup1=np.zeros(n - 1),
             sup2=np.zeros(n - 2),
         )
-
-    @classmethod
-    def from_dense(cls, M: np.ndarray) -> "Pentadiagonal":
-        M = np.asarray(M, dtype=float)
-        if M.ndim != 2 or M.shape[0] != M.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {M.shape}")
-        if np.any(np.triu(M, 3)) or np.any(np.tril(M, -3)):
-            raise ValueError("matrix has entries outside the five bands")
-        return cls(*(np.diag(M, k) for k in (-2, -1, 0, 1, 2)))
 
     def to_dense(self) -> np.ndarray:
         n = self.n
@@ -358,25 +347,6 @@ def solve_banded(P: Pentadiagonal, b) -> np.ndarray:
     if _lapack_solve is None:
         return reference_solve_banded(P, b)
     return _lapack_solve(P, b)
-
-
-def dense_reference_solve(M: np.ndarray, b) -> np.ndarray:
-    """Dense Gaussian-elimination oracle (LAPACK partial-pivoting LU).
-
-    Test-scale ground truth only; refuses systems larger than 512.
-    """
-    M = np.asarray(M, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {M.shape}")
-    if M.shape[0] > 512:
-        raise ValueError(f"reference solver is capped at n=512, got {M.shape[0]}")
-    if b.shape != (M.shape[0],):
-        raise ValueError(f"b must have shape ({M.shape[0]},), got {b.shape}")
-    try:
-        return np.linalg.solve(M, b)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError(f"dense reference solve failed: {exc}") from exc
 
 
 def power_iteration(P: Pentadiagonal, b0, tol: float = 1e-10, max_iters: int = 10_000) -> PowerIterationReport:

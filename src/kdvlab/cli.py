@@ -39,7 +39,7 @@ from .config import (
     parse_scan_config,
 )
 from .crank_nicolson import assemble_lagged, run_cn
-from .errors import ConfigError, FixedPointError, KdvLabError, SingularMatrixError
+from .errors import ConfigError, KdvLabError
 from .evolution import OUTCOME_BLOW_UP, OUTCOME_COMPLETED, OUTCOME_SOLVER_FAILURE, RunResult
 from .explicit import run_explicit
 from .runio import _fmt, write_run_outputs
@@ -73,11 +73,10 @@ def execute_run(cfg: RunConfig) -> RunResult:
 
 def cmd_run(cfg: RunConfig) -> int:
     """Execute a run and write snapshot CSVs plus ``run.meta``; the exit code names the outcome."""
-    try:
-        result = execute_run(cfg)
-    except (SingularMatrixError, FixedPointError) as exc:
-        result = exc.result
-        print(f"kdvlab run: solver failure: {exc}", file=sys.stderr)
+    result = execute_run(cfg)
+    if result.failure is not None:
+        print(f"kdvlab run: solver failure: step {result.failure_step}: {result.failure}",
+              file=sys.stderr)
     write_run_outputs(cfg.output_dir, cfg.echo_lines(), result)
     return EXIT_CODES[result.outcome]
 
@@ -152,6 +151,8 @@ def converge_study(cfg: ConvergeConfig):
                                  "dt": cfg.dt / time, "snapshot_times": (cfg.t_end,)})
         level_cfg.validate()
         result = execute_run(level_cfg)
+        if result.failure is not None:
+            raise KdvLabError(f"step {result.failure_step}: {result.failure}")
         if not result.completed:
             raise KdvLabError(
                 f"refinement level {level} blew up at step {result.blow_up_step}"

@@ -93,6 +93,8 @@ class RunConfig(_Config):
             raise ConfigError(f"ic must be one of {IC_KINDS}, got {kind!r}")
         if kind in ("paper-eq2", "traveling") and (not isinstance(value, float) or value <= 0):
             raise ConfigError(f"ic {kind} needs a positive speed parameter, got {value!r}")
+        if kind == "appendix" and value is not None:
+            raise ConfigError(f"ic appendix takes no parameter, got {value!r}")
         if kind == "file" and not value:
             raise ConfigError("ic file needs a path")
         # the grid, the time levels and the snapshot rule check themselves

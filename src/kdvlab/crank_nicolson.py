@@ -30,7 +30,7 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from .banded import Pentadiagonal, solve_banded
-from .errors import BlowUpError, FixedPointError, SingularMatrixError
+from .errors import BlowUpError, FixedPointError
 from .evolution import RunResult, evolve, next_state
 from .model import SchemeParams, TimeGrid, WaveField
 from .record import Frozen
@@ -226,7 +226,11 @@ def run_cn(
     time: TimeGrid,
     snapshot_times: Sequence[float],
 ) -> RunResult:
-    """Time-march the configured scheme, recording snapshots (and Picard solves if implicit)."""
+    """Time-march the configured scheme, recording snapshots (and Picard solves if implicit).
+
+    Every outcome is returned as :func:`~kdvlab.evolution.evolve` gives it, a
+    solver failure too; ``picard_solves`` counts the steps completed before it.
+    """
     solves = []
 
     def step(state: WaveField) -> WaveField:
@@ -234,13 +238,7 @@ def run_cn(
         solves.append(count)
         return field
 
-    def record_solves(result: RunResult) -> RunResult:
-        if cfg.linearization is LinearizationKind.IMPLICIT_COEFFICIENT:
-            result.picard_solves = tuple(solves)
-        return result
-
-    try:
-        return record_solves(evolve(ic, time, snapshot_times, step))
-    except (SingularMatrixError, FixedPointError) as exc:
-        record_solves(exc.result)
-        raise
+    result = evolve(ic, time, snapshot_times, step)
+    if cfg.linearization is LinearizationKind.IMPLICIT_COEFFICIENT:
+        result.picard_solves = tuple(solves)
+    return result

@@ -17,30 +17,26 @@ class BlowUpError(KdvLabError):
 
 
 class SingularMatrixError(KdvLabError):
-    """Banded or dense elimination hit a zero (or sub-tolerance) pivot.
+    """Banded elimination hit a zero (or sub-tolerance) pivot.
 
-    ``row`` is the elimination row at which the pivot failed.  ``result``
-    is the partial run when a time step raised it, else None.
+    ``row`` is the elimination row at which the pivot failed.
     """
 
     def __init__(self, message, row=None):
         super().__init__(message)
         self.row = row
-        self.result = None
 
 
 class FixedPointError(KdvLabError):
     """Picard iteration did not converge within the allowed iterations.
 
-    ``residual`` is the last sup-norm change between iterates.  ``result``
-    is the partial run when a time step raised it, else None.
+    ``residual`` is the last sup-norm change between iterates.
     """
 
     def __init__(self, message, residual=None, iterations=None):
         super().__init__(message)
         self.residual = residual
         self.iterations = iterations
-        self.result = None
 
 
 class OracleError(KdvLabError):

@@ -81,13 +81,14 @@ class SnapshotDiagnostics(Frozen):
 class RunResult(Record):
     """Ordered snapshots plus diagnostics for one time-stepped run.
 
-    ``outcome`` is ``"completed"``, ``"blow-up"`` or ``"solver-failure"``.
-    A blow-up carries the offending step index, a solver failure its step
-    and the solver's message, and both whatever snapshots were recorded
-    before it.  On completion it holds one snapshot per request:
-    :func:`evolve` refuses a request that the last time level does not
-    reach.  ``picard_solves`` holds the Picard solves of each completed
-    step, or None for a scheme without Picard iteration.
+    ``outcome`` is ``"completed"``, ``"blow-up"`` or ``"solver-failure"``:
+    every run ends in one of them, since :func:`evolve` returns a step's
+    failure rather than raising it.  A blow-up carries the offending step
+    index, a solver failure its step and the solver's message, and both
+    whatever snapshots were recorded before it.  On completion it holds one
+    snapshot per request: :func:`evolve` refuses a request that the last
+    time level does not reach.  ``picard_solves`` holds the Picard solves
+    of each completed step, or None for a scheme without Picard iteration.
     """
 
     def __init__(self, snapshots: list, diagnostics: list, outcome: str,
@@ -149,11 +150,11 @@ def evolve(
     Each requested time is satisfied by the first state whose time is at
     or after it (the initial state counts): the level that
     :func:`snapshot_requests` from ``ic.time`` gives it, so a completed
-    run holds every one of them.  Blow-up raised by ``step`` ends the
-    run and is recorded as the outcome, not re-raised.  A
-    :class:`SingularMatrixError` or :class:`FixedPointError` propagates
-    with the step index prefixed to its message and the partial result,
-    outcome ``"solver-failure"``, attached as its ``result``.
+    run holds every one of them.  A :class:`BlowUpError`,
+    :class:`SingularMatrixError` or :class:`FixedPointError` raised by
+    ``step`` ends the run: it is returned as the outcome, ``"blow-up"``
+    or ``"solver-failure"``, with its step and the snapshots recorded
+    before it, and never re-raised.
     """
     levels = snapshot_requests(snapshot_times, time, ic.time)
     snapshots: list = []
@@ -167,10 +168,8 @@ def evolve(
             except BlowUpError:
                 return RunResult(snapshots, diagnostics, OUTCOME_BLOW_UP, blow_up_step=n)
             except (SingularMatrixError, FixedPointError) as exc:
-                exc.result = RunResult(snapshots, diagnostics, OUTCOME_SOLVER_FAILURE,
-                                       failure_step=n, failure=str(exc))
-                exc.args = (f"step {n}: {exc}",)
-                raise
+                return RunResult(snapshots, diagnostics, OUTCOME_SOLVER_FAILURE,
+                                 failure_step=n, failure=str(exc))
         t = ic.time + n * time.dt
         # label with n*dt: summing t + dt drifts by ulps
         snapshot = state if state.time == t else WaveField(state.grid, t, state.values)

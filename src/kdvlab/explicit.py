@@ -46,7 +46,8 @@ def run_explicit(
 ) -> RunResult:
     """Time-march the explicit scheme, recording snapshots.
 
-    Blow-up ends the run and is returned as the outcome (with its step
-    index), never raised out of this function.
+    The outcome is returned as :func:`~kdvlab.evolution.evolve` gives it,
+    never raised: this scheme solves nothing, so it ends completed or in
+    a blow-up, with the step index of the blow-up.
     """
     return evolve(ic, time, snapshot_times, lambda state: explicit_step(state, params))

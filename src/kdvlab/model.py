@@ -76,9 +76,6 @@ class TimeGrid(Frozen):
             raise ValueError(f"t_end/dt = {t_end}/{dt} is not a finite step count")
         self.__dict__.update(t_end=t_end, dt=dt, nt=math.floor(steps) + 1)
 
-    def times(self) -> np.ndarray:
-        return np.arange(self.nt) * self.dt
-
 
 class WaveField(Frozen):
     """Sampled solution values at one time level.

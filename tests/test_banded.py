@@ -18,7 +18,6 @@ from kdvlab.analysis import _symbol_g
 from kdvlab.banded import (
     Pentadiagonal,
     PowerIterationReport,
-    dense_reference_solve,
     invertibility_certificate,
     matvec,
     power_iteration,
@@ -48,6 +47,16 @@ def _scipy_openblas():
 
 
 SCIPY_OPENBLAS = _scipy_openblas()
+
+
+def from_dense(M):
+    """The Pentadiagonal with the five bands of the square matrix M; refuses entries off them."""
+    M = np.asarray(M, dtype=float)
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {M.shape}")
+    if np.any(np.triu(M, 3)) or np.any(np.tril(M, -3)):
+        raise ValueError("matrix has entries outside the five bands")
+    return Pentadiagonal(*(np.diag(M, k) for k in (-2, -1, 0, 1, 2)))
 
 
 def random_penta(rng, n, dominant=True):
@@ -105,12 +114,12 @@ def test_band_length_validation():
 def test_dense_round_trip():
     rng = np.random.default_rng(11)
     P = random_penta(rng, 9)
-    Q = Pentadiagonal.from_dense(P.to_dense())
+    Q = from_dense(P.to_dense())
     assert np.array_equal(Q.to_dense(), P.to_dense())
     dense = P.to_dense()
     dense[0, 4] = 1.0  # outside the five bands
     with pytest.raises(ValueError):
-        Pentadiagonal.from_dense(dense)
+        from_dense(dense)
 
 
 def test_transpose_swaps_bands():
@@ -264,7 +273,7 @@ def test_solve_matches_dense_oracle_large():
     P = random_penta(rng, 200)
     b = rng.standard_normal(200)
     x = solve_banded(P, b)
-    assert np.max(np.abs(x - dense_reference_solve(P.to_dense(), b))) <= 1e-10
+    assert np.max(np.abs(x - np.linalg.solve(P.to_dense(), b))) <= 1e-10
 
 
 def test_solve_matches_dense_oracle_many_sizes():
@@ -273,7 +282,7 @@ def test_solve_matches_dense_oracle_many_sizes():
         n = int(rng.integers(5, 65))
         P = random_penta(rng, n)
         b = rng.standard_normal(n)
-        expected = dense_reference_solve(P.to_dense(), b)
+        expected = np.linalg.solve(P.to_dense(), b)
         for name, solve in SOLVERS.items():
             assert np.max(np.abs(solve(P, b) - expected)) <= 1e-10, name
 
@@ -339,7 +348,7 @@ def test_solve_needs_pivoting():
             [0.0, 0.0, 0.5, 1.0, 3.0],
         ]
     )
-    P = Pentadiagonal.from_dense(dense)
+    P = from_dense(dense)
     b = np.array([1.0, -2.0, 0.5, 3.0, 1.0])
     for name, solve in SOLVERS.items():
         x = solve(P, b)
@@ -365,7 +374,7 @@ def test_pivoting_solves_agree_with_both_references(n, seed):
     assert abs(P.sub1[0]) > abs(P.diag[0])  # the first column already swaps rows
     b = rng.standard_normal(n)
     x = solve_banded(P, b)
-    for expected in (reference_solve_banded(P, b), dense_reference_solve(P.to_dense(), b)):
+    for expected in (reference_solve_banded(P, b), np.linalg.solve(P.to_dense(), b)):
         assert np.max(np.abs(x - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
@@ -388,7 +397,7 @@ def test_planted_sub_floor_pivot_fails_at_its_row_on_both_paths(n, seed, where, 
     dense[r + 1:, r] = dense[r, r + 1:] = 0.0
     dense[r, r] = 0.0
     dense[r, r] = sign * scale * banded.PIVOT_RTOL * np.max(np.abs(dense))
-    P = Pentadiagonal.from_dense(dense)
+    P = from_dense(dense)
     rows = []
     for solve in SOLVERS.values():
         with pytest.raises(SingularMatrixError) as err:
@@ -417,32 +426,6 @@ def test_lp64_band_lu_agrees_with_solve_banded():
         with pytest.raises(SingularMatrixError) as err:
             lp64(P, np.ones(6))
         assert err.value.row == 2
-
-
-# ---------------------------------------------------------------------------
-# dense reference oracle
-# ---------------------------------------------------------------------------
-
-def test_dense_reference_identity_and_2x2():
-    assert np.array_equal(dense_reference_solve(np.eye(3), np.array([1.0, 2.0, 3.0])),
-                          np.array([1.0, 2.0, 3.0]))
-    x = dense_reference_solve(np.array([[2.0, 1.0], [1.0, 2.0]]), np.array([3.0, 3.0]))
-    assert np.allclose(x, [1.0, 1.0], rtol=0.0, atol=1e-14)
-
-
-def test_dense_reference_residual_self_check():
-    rng = np.random.default_rng(21)
-    M = rng.standard_normal((50, 50)) + 10.0 * np.eye(50)
-    b = rng.standard_normal(50)
-    x = dense_reference_solve(M, b)
-    assert np.max(np.abs(M @ x - b)) <= 1e-10 * np.max(np.abs(b))
-
-
-def test_dense_reference_rejects_singular_and_oversized():
-    with pytest.raises(SingularMatrixError):
-        dense_reference_solve(np.zeros((3, 3)), np.ones(3))
-    with pytest.raises(ValueError):
-        dense_reference_solve(np.eye(513), np.ones(513))
 
 
 # ---------------------------------------------------------------------------

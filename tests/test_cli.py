@@ -15,7 +15,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import kdvlab
-from kdvlab import banded, cli
+from kdvlab import banded, cli, crank_nicolson
 from kdvlab.analysis import cn_amplification, explicit_amplification
 from kdvlab.banded import Pentadiagonal
 from kdvlab.cli import cmd_eigen, eigen_report_text, execute_run, main
@@ -415,7 +415,8 @@ def test_run_refuses_two_snapshot_requests_on_one_time_level(tmp_path, capsys, t
     (["scan", "--beta_list=0"], "alpha and beta must be finite and positive, got 1000.0, 0.0"),
     (["scan", "--scheme", "upwind"], "unknown scheme 'upwind'; expected 'cn' or 'explicit'"),
     (["run", "--ic", "file"], "ic file needs a path"),
-], ids=["scan-alpha", "scan-beta", "scan-scheme", "run-ic-file"])
+    (["run", "--ic", "appendix 3"], "ic appendix takes no parameter, got 3.0"),
+], ids=["scan-alpha", "scan-beta", "scan-scheme", "run-ic-file", "run-ic-appendix-value"])
 def test_configs_refuse_with_the_message_of_the_rules_owner(tmp_path, capsys, args, message):
     out = tmp_path / "out"
     assert main(args + ["--output_dir", str(out)]) == 1
@@ -706,6 +707,22 @@ def test_solver_failure_is_a_recorded_outcome(tmp_path, capsys, scheme):
                 "--ic", _singular_ic(tmp_path), "--output_dir", str(tmp_path / "conv")]
     assert main(converge) == 1
     assert capsys.readouterr().err == f"kdvlab converge: error: {message}\n"
+
+
+def test_stalled_picard_iteration_is_a_recorded_outcome(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(crank_nicolson, "PICARD_MAX_ITERS", 1)
+    out = tmp_path / "out"
+    args = ["run", "--scheme", "cn-implicit", "--gamma_mode", "row-varying", "--nx", "201",
+            "--dt", "0.01", "--t_end", "0.02", "--snapshot_times", "0,0.02",
+            "--ic", "traveling 0.5", "--output_dir", str(out)]
+    assert main(args) == 3
+    message = "Picard iteration did not reach 1e-10 within 1 iterations (last change 0.00136131)"
+    assert capsys.readouterr().err == f"kdvlab run: solver failure: step 1: {message}\n"
+    meta = (out / "run.meta").read_text()
+    assert meta.startswith("# kdvlab run metadata\noutcome = solver-failure\nblow_up_step = \n"
+                           f"failure_step = 1\nfailure = {message}\nbackend = ")
+    assert "\npicard_solves_min = \npicard_solves_mean = \npicard_solves_max = \n" in meta
+    assert sorted(p.name for p in out.iterdir()) == ["run.meta", "snapshot_t0.csv"]
 
 
 @pytest.mark.parametrize("scheme, code", [("cn-lagged", 0), ("explicit", 2)])

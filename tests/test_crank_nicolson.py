@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kdvlab import crank_nicolson
-from kdvlab.banded import dense_reference_solve, matvec, skew_deviation, solve_banded
+from kdvlab.banded import matvec, skew_deviation, solve_banded
 from kdvlab.crank_nicolson import (
     EIGEN_PROBE_PARAMS,
     CnConfig,
@@ -116,7 +116,7 @@ def test_lagged_step_matches_dense_solve():
     cfg = lagged_cfg(SchemeParams(dx=g.dx, dt=0.005))
     out = cn_step_lagged(f, cfg)
     A, B = assemble_lagged(f, cfg)
-    dense = dense_reference_solve(A.to_dense(), matvec(B, f.values[2:-2]))
+    dense = np.linalg.solve(A.to_dense(), matvec(B, f.values[2:-2]))
     assert np.max(np.abs(out.values[2:-2] - dense)) <= 1e-10
     assert np.all(out.values[:2] == 0.0) and np.all(out.values[-2:] == 0.0)
 
@@ -228,6 +228,21 @@ def test_implicit_reports_fixed_point_failure(monkeypatch):
     with pytest.raises(FixedPointError) as err:
         cn_step_implicit(f, cfg)
     assert err.value.residual > 0.0
+
+
+@pytest.mark.parametrize("linearization", list(LinearizationKind), ids=lambda kind: kind.value)
+def test_run_cn_returns_a_singular_solve_as_an_outcome(linearization):
+    # every u = 1e150: B u is finite, but A is singular in doubles at the first step
+    g = Grid1D(-20.0, 20.0, 201)
+    f = WaveField(g, 0.0, np.full(201, 1e150))
+    cfg = CnConfig(params=SchemeParams(dx=g.dx, dt=0.01), linearization=linearization,
+                   gamma_mode=GammaMode.FROZEN_MIDPOINT)
+    result = run_cn(f, cfg, TimeGrid(0.02, 0.01), [0.0, 0.02])
+    assert (result.outcome, result.failure_step) == ("solver-failure", 1)
+    assert result.failure == "zero pivot in banded elimination at row 196"
+    assert result.snapshots == [f] and [d.time for d in result.diagnostics] == [0.0]
+    implicit = linearization is LinearizationKind.IMPLICIT_COEFFICIENT
+    assert result.picard_solves == (() if implicit else None)
 
 
 def test_gamma_mode_acts_on_the_implicit_step():

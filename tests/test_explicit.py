@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from kdvlab import crank_nicolson, evolution, explicit, model
-from kdvlab.errors import BlowUpError
+from kdvlab.errors import BlowUpError, FixedPointError, SingularMatrixError
 from kdvlab.crank_nicolson import (CnConfig, LinearizationKind, _rhs, _weights, cn_step_implicit,
                                    cn_step_lagged)
 from kdvlab.evolution import MAX_AMPLITUDE, evolve, next_state
@@ -251,22 +251,18 @@ def test_evolve_refuses_two_requests_on_one_time_level():
         evolve(later, TimeGrid(0.1, 0.05), [0.2, 0.5], lambda s: s)
 
 
-def test_evolve_attaches_step_context_to_solver_errors():
-    from kdvlab.errors import FixedPointError, SingularMatrixError
-
+def test_evolve_returns_solver_errors_as_outcomes():
     g = Grid1D(0.0, 1.0, 11)
     f = WaveField(g, 0.0, np.zeros(11))
+    for error in (SingularMatrixError("zero pivot", row=3),
+                  FixedPointError("no convergence", residual=0.5, iterations=50)):
 
-    def singular_step(state):
-        raise SingularMatrixError("zero pivot", row=3)
+        def failing_step(state):
+            raise error
 
-    with pytest.raises(SingularMatrixError, match="step 1") as err:
-        evolve(f, TimeGrid(1.0, 0.1), [1.0], singular_step)
-    assert err.value.row == 3
-
-    def stuck_step(state):
-        raise FixedPointError("no convergence", residual=0.5, iterations=50)
-
-    with pytest.raises(FixedPointError, match="step 1") as err:
-        evolve(f, TimeGrid(1.0, 0.1), [1.0], stuck_step)
-    assert err.value.residual == 0.5
+        result = evolve(f, TimeGrid(1.0, 0.1), [0.0, 1.0], failing_step)
+        assert result.outcome == "solver-failure" and not result.completed
+        assert (result.failure_step, result.failure) == (1, str(error))
+        assert result.blow_up_step is None and result.picard_solves is None
+        assert result.snapshots == [f] and [d.time for d in result.diagnostics] == [0.0]
+        assert error.args == (str(error),)  # the message is left as the step raised it
