@@ -6,10 +6,13 @@ implicit schemes' systems are solved with an LU factorisation whose
 partial pivoting stays confined to the band; row exchanges widen the
 upper bandwidth from 2 to at most 4, so the working array adds two fill
 rows to the five bands, and both solve paths factor that same array.
-The factorisation is LAPACK's ``dgbtrf``/``dgbtrs``, called through
-``ctypes`` in the LAPACK that numpy links; where no such symbol
-resolves, a hand-rolled kernel, which is also the reference the tests
-compare against, does the same elimination in Python.
+The factorisation is LAPACK's ``dgbtrf``, and a solve against it
+``dgbtrs``, called through ``ctypes`` in the LAPACK that numpy links;
+where no such symbol resolves, a hand-rolled kernel, which is also the
+reference the tests compare against, does the same elimination in
+Python and leaves the same factors.  :func:`factor_banded` factors once
+and returns a solve that can be called for any number of right-hand
+sides; :func:`solve_banded` is factor-then-solve.
 """
 
 from __future__ import annotations
@@ -30,8 +33,10 @@ __all__ = [
     "PowerIterationReport",
     "CertificateReport",
     "matvec",
+    "factor_banded",
     "solve_banded",
     "solve_backend",
+    "reference_factor_banded",
     "reference_solve_banded",
     "power_iteration",
     "symbol_bound",
@@ -173,13 +178,17 @@ def _working_band(P: Pentadiagonal) -> np.ndarray:
     return ab
 
 
-def _lu_solve_kernel(ab, b, x, pivot_floor):
+def _lu_factor_kernel(ab, ipiv, pivot_floor):
     """In-place banded LU with partial pivoting; returns -1 or the failing row.
 
     ab is the working array of :func:`_working_band`, so entry (i, c) of
-    the matrix is ``ab[c, 4 + i - c]``; b is consumed as workspace.  Row
-    swaps exchange only the column-aligned segment [k, k+4], which is
-    where all remaining nonzeros of the candidate rows live.
+    the matrix is ``ab[c, 4 + i - c]``.  The factors are left as
+    ``dgbtrf`` leaves them: U in the first five entries of each row of
+    ab (the diagonal last), the multiplier that cleared entry (r, k) in
+    that entry's place ``ab[k, 4 + r - k]``, and in ``ipiv[k]`` the row
+    exchanged with row k.  Row swaps exchange only the column-aligned
+    segment [k, k+4], which is where all remaining nonzeros of the
+    candidate rows live.
     """
     n = ab.shape[0]
     for k in range(n):
@@ -193,22 +202,38 @@ def _lu_solve_kernel(ab, b, x, pivot_floor):
                 piv_row = r
         if piv_val <= pivot_floor:
             return k
+        ipiv[k] = piv_row
+        cmax = min(k + 4, n - 1)
         if piv_row != k:
-            cmax = min(k + 4, n - 1)
             for c in range(k, cmax + 1):
                 tmp = ab[c, 4 + k - c]
                 ab[c, 4 + k - c] = ab[c, 4 + piv_row - c]
                 ab[c, 4 + piv_row - c] = tmp
-            tmp = b[k]
-            b[k] = b[piv_row]
-            b[piv_row] = tmp
-        cmax = min(k + 4, n - 1)
         for r in range(k + 1, rmax + 1):
             m = ab[k, 4 + r - k] / ab[k, 4]
-            ab[k, 4 + r - k] = 0.0
+            ab[k, 4 + r - k] = m
             if m != 0.0:
                 for c in range(k + 1, cmax + 1):
                     ab[c, 4 + r - c] -= m * ab[c, 4 + k - c]
+    return -1
+
+
+def _lu_solve_kernel(ab, ipiv, b, x):
+    """Forward and back substitution against :func:`_lu_factor_kernel`'s factors.
+
+    b is consumed as workspace; its row swaps and updates are those the
+    elimination would have made on it, in the same order.
+    """
+    n = ab.shape[0]
+    for k in range(n):
+        p = ipiv[k]
+        if p != k:
+            tmp = b[k]
+            b[k] = b[p]
+            b[p] = tmp
+        for r in range(k + 1, min(k + 2, n - 1) + 1):
+            m = ab[k, 4 + r - k]
+            if m != 0.0:
                 b[r] -= m * b[k]
     for i in range(n - 1, -1, -1):
         s = b[i]
@@ -216,7 +241,6 @@ def _lu_solve_kernel(ab, b, x, pivot_floor):
         for c in range(i + 1, cmax + 1):
             s -= ab[c, 4 + i - c] * x[c]
         x[i] = s / ab[i, 4]
-    return -1
 
 
 def _check_rhs(P: Pentadiagonal, b) -> np.ndarray:
@@ -238,22 +262,32 @@ def _singular(row: int) -> SingularMatrixError:
     return SingularMatrixError(f"zero pivot in banded elimination at row {row}", row=row)
 
 
+def reference_factor_banded(P: Pentadiagonal):
+    """:func:`factor_banded` with the hand-rolled kernel: the fallback and the test reference."""
+    ab = _working_band(P)
+    ipiv = np.empty(P.n, dtype=np.intp)
+    fail_row = _lu_factor_kernel(ab, ipiv, _pivot_floor(P))
+    if fail_row >= 0:
+        raise _singular(fail_row)
+
+    def solve(b) -> np.ndarray:
+        rhs = _check_rhs(P, b).copy()
+        x = np.empty_like(rhs)
+        _lu_solve_kernel(ab, ipiv, rhs, x)
+        return x
+
+    return solve
+
+
 def reference_solve_banded(P: Pentadiagonal, b) -> np.ndarray:
     """Solve P x = b with the hand-rolled kernel: the fallback and the test reference."""
-    b = _check_rhs(P, b)
-    ab = _working_band(P)
-    rhs = b.copy()
-    x = np.empty_like(rhs)
-    fail_row = _lu_solve_kernel(ab, rhs, x, _pivot_floor(P))
-    if fail_row >= 0:
-        raise _singular(int(fail_row))
-    return x
+    return reference_factor_banded(P)(b)
 
 
-def _lapack_solver(library: str):
-    """Return ``solve(P, b)`` over ``dgbtrf``/``dgbtrs`` from ``library``, or None.
+def _lapack_band_lu(library: str):
+    """Return ``factor(P)`` over ``dgbtrf``/``dgbtrs`` from ``library``, or None.
 
-    ``solve.backend`` names the two symbols and the library's file name.
+    ``factor.backend`` names the two symbols and the library's file name.
     The integer width follows the symbol name: a ``_64_`` suffix marks
     the ILP64 interface (numpy 2.4's wheels export ``scipy_dgbtrf_64_``),
     a plain ``_`` the LP64 one (scipy's wheels export ``scipy_dgbtrf_``,
@@ -290,25 +324,24 @@ def _lapack_solver(library: str):
     kl, ku, ldab, nrhs = c_int(_KL), c_int(_KU), c_int(_LDAB), c_int(1)
     ipiv_dtype = np.dtype(c_int)
     # Each thread keeps the LU working array of its last n, with its
-    # addresses (each .ctypes builds an object).  A fresh 7 n array per
-    # solve grew the heap past glibc's trim threshold, so every time step
-    # gave the pages back and faulted them in again.
+    # addresses (each .ctypes builds an object) and a generation count.
+    # A fresh 7 n array per factorization grew the heap past glibc's trim
+    # threshold, so every time step gave the pages back and faulted them
+    # in again.
     local = threading.local()
 
-    def solve(P: Pentadiagonal, b) -> np.ndarray:
-        # x, ab and ipiv are C-contiguous arrays of the declared types, each
-        # bound to a name until the routines return
-        x = np.array(_check_rhs(P, b))
-        n = c_int(P.n)
+    def factor(P: Pentadiagonal):
         work = getattr(local, "work", None)
         if work is None or work[1].size != P.n:
             ab, ipiv = np.empty((P.n, _LDAB)), np.empty(P.n, dtype=ipiv_dtype)
-            work = local.work = ab, ipiv, ab.ctypes.data, ipiv.ctypes.data
-        ab, ipiv, ab_p, ipiv_p = work
+            work = local.work = [ab, ipiv, ab.ctypes.data, ipiv.ctypes.data, 0]
+        ab, ipiv, ab_p, ipiv_p, generation = work
+        # From here on the factors of the last generation are gone.
+        generation = work[4] = generation + 1
         # dgbtrf factors this copy in place.  It does not read the kl fill
-        # rows on entry, so what the last solve left there does not matter.
+        # rows on entry, so what the last factors left there does not matter.
         ab[:, _KL:] = P.bands.T
-        info = c_int(0)
+        n, info = c_int(P.n), c_int(0)
         dgbtrf(n, n, kl, ku, ab_p, ldab, ipiv_p, info)
         if info.value < 0:
             raise ValueError(f"dgbtrf rejected argument {-info.value}")
@@ -317,36 +350,55 @@ def _lapack_solver(library: str):
         pivots, floor = np.abs(ab[:, 4]), _pivot_floor(P)
         if np.fmin.reduce(pivots) <= floor:
             raise _singular(int(np.flatnonzero(pivots <= floor)[0]))
-        dgbtrs(b"N", n, kl, ku, nrhs, ab_p, ldab, ipiv_p, x.ctypes.data, n, info, 1)
-        if info.value < 0:
-            raise ValueError(f"dgbtrs rejected argument {-info.value}")
-        return x
 
-    solve.backend = f"{dgbtrf.__name__} {dgbtrs.__name__} {os.path.basename(library)}"
-    return solve
+        def solve(b) -> np.ndarray:
+            if work[4] != generation:
+                raise RuntimeError("band LU overwritten by a later factorization of the "
+                                   "same size on its thread")
+            # x is a C-contiguous copy of b, bound to a name until dgbtrs returns
+            x, info = np.array(_check_rhs(P, b)), c_int(0)
+            dgbtrs(b"N", n, kl, ku, nrhs, ab_p, ldab, ipiv_p, x.ctypes.data, n, info, 1)
+            if info.value < 0:
+                raise ValueError(f"dgbtrs rejected argument {-info.value}")
+            return x
+
+        return solve
+
+    factor.backend = f"{dgbtrf.__name__} {dgbtrs.__name__} {os.path.basename(library)}"
+    return factor
 
 
-_lapack_solve = _lapack_solver(_umath_linalg.__file__)
+_lapack_factor = _lapack_band_lu(_umath_linalg.__file__)
 
 
 def solve_backend() -> str:
-    """What :func:`solve_banded` runs, as one plain string.
+    """What :func:`factor_banded` runs, as one plain string.
 
     ``"<dgbtrf symbol> <dgbtrs symbol> <library file name>"`` for LAPACK,
     or ``"reference"`` for the hand-rolled kernel where no symbol resolved.
     """
-    return "reference" if _lapack_solve is None else _lapack_solve.backend
+    return "reference" if _lapack_factor is None else _lapack_factor.backend
+
+
+def factor_banded(P: Pentadiagonal):
+    """Factor P by banded LU with partial pivoting confined to the band.
+
+    Returns ``solve(b)``, which solves P x = b against these factors and
+    may be called for any number of right-hand sides.  A pivot at or
+    below ``PIVOT_RTOL * max|P|`` raises :class:`SingularMatrixError`
+    here, whose ``row`` is the first such row.  On the LAPACK path each
+    thread reuses one working array per size, so a later factorization
+    of the same size on the same thread overwrites these factors; a
+    solve against overwritten factors raises ``RuntimeError``.
+    """
+    if _lapack_factor is None:
+        return reference_factor_banded(P)
+    return _lapack_factor(P)
 
 
 def solve_banded(P: Pentadiagonal, b) -> np.ndarray:
-    """Solve P x = b by banded LU with partial pivoting confined to the band.
-
-    A pivot at or below ``PIVOT_RTOL * max|P|`` raises
-    :class:`SingularMatrixError` whose ``row`` is the first such row.
-    """
-    if _lapack_solve is None:
-        return reference_solve_banded(P, b)
-    return _lapack_solve(P, b)
+    """Solve P x = b: :func:`factor_banded`, then one solve against its factors."""
+    return factor_banded(P)(b)
 
 
 def power_iteration(P: Pentadiagonal, b0, tol: float = 1e-10, max_iters: int = 10_000) -> PowerIterationReport:

@@ -152,7 +152,8 @@ def converge_study(cfg: ConvergeConfig):
         level_cfg.validate()
         result = execute_run(level_cfg)
         if result.failure is not None:
-            raise KdvLabError(f"step {result.failure_step}: {result.failure}")
+            raise KdvLabError(f"refinement level {level} failed at step {result.failure_step}: "
+                              f"{result.failure}")
         if not result.completed:
             raise KdvLabError(
                 f"refinement level {level} blew up at step {result.blow_up_step}"

@@ -9,8 +9,10 @@ This is the theta = 1/2 member of a theta-scheme;
 :func:`~kdvlab.explicit.explicit_step` is its theta = 0 member, B at
 twice the weights.  The CN variants differ only in c: the lagged scheme
 takes c = u^n (one solve per step); the implicit scheme takes the time
-midpoint c = (u^n + g)/2 and resolves the guess g by Picard iteration
-from g = u^n.
+midpoint c = (u^n + g)/2 and resolves the guess g by a fixed-point
+iteration from g = u^n, one solve per iterate.  Row-varying, a step
+factors A(u^n) once and each iterate back-substitutes against it (a
+chord iteration); frozen, each iterate factors its own A.
 
 ``gamma_mode`` varies c per row or freezes it at its domain-midpoint
 value.  Frozen, A = I + K with K exactly skew-symmetric, so each solve
@@ -29,7 +31,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from .banded import Pentadiagonal, solve_banded
+from .banded import Pentadiagonal, factor_banded, solve_banded
 from .errors import BlowUpError, FixedPointError
 from .evolution import RunResult, evolve, next_state
 from .model import SchemeParams, TimeGrid, WaveField
@@ -176,29 +178,52 @@ def _finish_step(u_n: WaveField, interior: np.ndarray, cfg: CnConfig) -> WaveFie
     return next_state(u_n, new, cfg.params.dt)
 
 
-def _solve(known: np.ndarray, coef: np.ndarray, cfg: CnConfig) -> np.ndarray:
-    """Solve A x = B u^n at the coefficient ``coef``; only A is built."""
-    gamma, quarter = _cn_weights(coef, cfg)
-    return solve_banded(_lhs(gamma, quarter), _rhs(known, gamma, quarter))
-
-
 def cn_step_lagged(u_n: WaveField, cfg: CnConfig) -> WaveField:
     """One lagged-coefficient step: solve A x = B u at c = u^n, re-pin boundaries."""
     known = _interior(u_n)
-    return _finish_step(u_n, _solve(known, known, cfg), cfg)
+    gamma, quarter = _cn_weights(known, cfg)
+    return _finish_step(u_n, solve_banded(_lhs(gamma, quarter), _rhs(known, gamma, quarter)), cfg)
+
+
+def _centered_difference(x: np.ndarray) -> np.ndarray:
+    """x_{i-1} - x_{i+1}, with zeros beyond both ends."""
+    d = np.zeros_like(x)
+    d[1:] = x[:-1]
+    d[:-1] -= x[1:]
+    return d
 
 
 def cn_step_implicit(u_n: WaveField, cfg: CnConfig) -> Tuple[WaveField, int]:
-    """One implicit-coefficient step resolved by Picard iteration.
+    """One implicit-coefficient step: the fixed point x = A(c)^-1 B(c) u^n at c = (u^n + x)/2.
 
-    Starts the guess g at the known level (so the first iterate is the
-    lagged step), then solves at c = (u^n + g)/2 with g the last iterate
-    until the iterate changes by less than :data:`PICARD_TOL` in the sup
-    norm.  Returns the converged field and the number of solves performed.
+    Starts from x_0 = u^n, so the first iterate is the lagged step, and
+    iterates until an iterate changes by less than :data:`PICARD_TOL` in
+    the sup norm.  Returns the converged field and the number of
+    iterates, each one solve.
+
+    Row-varying, A_0 = A(u^n) is factored once per step, and each iterate
+    solves A_0 x_{k+1} = B(c_k) u^n - (A(c_k) - A_0) x_k against it, with
+    c_k = (u^n + x_k)/2: a chord iteration in splitting form, whose fixed
+    point is Picard's.  A(c_k) - A_0 has only the off-diagonals
+    +-(gamma_k - gamma_0), so the correction is
+    (gamma_k - gamma_0)_i (x_{i-1} - x_{i+1}).  Frozen-midpoint
+    refactors A(c_k) at every iterate instead, so that every iterate is an
+    exact Cayley transform of u^n: with the splitting form's correction,
+    sum u^2 drifted 1.04e-12 relative in 30 steps (nx 43, dt 0.0625).
     """
     known = guess = _interior(u_n)
+    gamma0, quarter = _cn_weights(known, cfg)
+    rhs = _rhs(known, gamma0, quarter)  # an overflow is a blow-up before any factorization
+    solve = factor_banded(_lhs(gamma0, quarter))
     for iteration in range(1, PICARD_MAX_ITERS + 1):
-        interior = _solve(known, _midpoint(known, guess), cfg)
+        if iteration > 1:
+            gamma, _ = _cn_weights(_midpoint(known, guess), cfg)
+            rhs = _rhs(known, gamma, quarter)
+            if cfg.gamma_mode is GammaMode.FROZEN_MIDPOINT:
+                solve = factor_banded(_lhs(gamma, quarter))
+            else:
+                rhs -= (gamma - gamma0) * _centered_difference(guess)
+        interior = solve(rhs)
         change = float(np.max(np.abs(interior - guess)))
         if not np.isfinite(change):
             raise BlowUpError("Picard iterate became non-finite", max_value=float("inf"))

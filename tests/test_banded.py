@@ -18,9 +18,11 @@ from kdvlab.analysis import _symbol_g
 from kdvlab.banded import (
     Pentadiagonal,
     PowerIterationReport,
+    factor_banded,
     invertibility_certificate,
     matvec,
     power_iteration,
+    reference_factor_banded,
     reference_solve_banded,
     skew_deviation,
     solve_banded,
@@ -35,6 +37,7 @@ from kdvlab.errors import SingularMatrixError
 # (LAPACK band LU where it resolves) and the hand-rolled reference kernel,
 # which is also the fallback where no LAPACK band LU is found.
 SOLVERS = {"solve_banded": solve_banded, "reference": reference_solve_banded}
+FACTORS = {"solve_banded": factor_banded, "reference": reference_factor_banded}
 
 
 def _scipy_openblas():
@@ -406,25 +409,81 @@ def test_planted_sub_floor_pivot_fails_at_its_row_on_both_paths(n, seed, where, 
     assert rows == [r, r]
 
 
+def test_one_factorization_solves_many_right_hand_sides():
+    rng = np.random.default_rng(28)
+    for n in (5, 6, 57, 400):
+        P = pivoting_penta(rng, n)
+        rhs = rng.standard_normal((4, n))
+        expected = {"solve_banded": [solve_banded(P, b) for b in rhs],
+                    "reference": [reference_solve_banded(P, b) for b in rhs]}
+        for name, factor in FACTORS.items():
+            solve = factor(P)
+            for b, x, own in zip(rhs, expected["solve_banded"], expected[name]):
+                got = solve(b)
+                assert np.array_equal(got, own), (name, n)  # factor-then-solve, bit for bit
+                assert np.max(np.abs(got - x)) <= 1e-12 * np.max(np.abs(x)), (name, n)
+
+
+def test_pivot_floor_is_checked_once_at_factorization(monkeypatch):
+    singular = Pentadiagonal(np.zeros(4), np.zeros(5), np.array([1.0, 1.0, 1e-300, 1.0, 1.0, 1.0]),
+                             np.zeros(5), np.zeros(4))
+    for name, factor in FACTORS.items():
+        with pytest.raises(SingularMatrixError) as err:
+            factor(singular)
+        assert err.value.row == 2, name
+    floors = []
+    real = banded._pivot_floor
+    monkeypatch.setattr(banded, "_pivot_floor", lambda P: floors.append(P) or real(P))
+    rng = np.random.default_rng(30)
+    P = pivoting_penta(rng, 40)
+    for name, factor in FACTORS.items():
+        floors.clear()
+        solve = factor(P)
+        for _ in range(3):
+            solve(rng.standard_normal(40))
+        assert floors == [P], name
+
+
+@pytest.mark.skipif(banded._lapack_factor is None, reason="no LAPACK band LU resolved")
+def test_a_solve_against_overwritten_factors_raises():
+    rng = np.random.default_rng(29)
+    P, Q, R = pivoting_penta(rng, 50), pivoting_penta(rng, 50), pivoting_penta(rng, 60)
+    b = rng.standard_normal(50)
+    first = factor_banded(P)
+    x = first(b)
+    second = factor_banded(Q)  # same size, same thread: reuses and overwrites first's array
+    y = second(b)
+    with pytest.raises(RuntimeError, match="overwritten"):
+        first(b)
+    assert np.array_equal(factor_banded(P)(b), x)
+    with pytest.raises(RuntimeError, match="overwritten"):
+        second(b)
+    second = factor_banded(Q)
+    factor_banded(R)  # another size: the thread moves to a new working array
+    assert np.array_equal(factor_banded(P)(b), x)  # and then to another one at size 50
+    assert np.array_equal(second(b), y)  # whose factors no later factorization touched
+    assert np.max(np.abs(x - reference_solve_banded(P, b))) <= 1e-12 * np.max(np.abs(x))
+
+
 def test_band_lu_resolution_falls_back_when_library_is_missing(tmp_path):
-    assert banded._lapack_solver(str(tmp_path / "no-such-lapack.so")) is None
+    assert banded._lapack_band_lu(str(tmp_path / "no-such-lapack.so")) is None
 
 
 @pytest.mark.skipif(SCIPY_OPENBLAS is None, reason="scipy's bundled OpenBLAS is not installed")
 def test_lp64_band_lu_agrees_with_solve_banded():
-    lp64 = banded._lapack_solver(SCIPY_OPENBLAS)
+    lp64 = banded._lapack_band_lu(SCIPY_OPENBLAS)
     assert lp64 is not None
     rng = np.random.default_rng(27)
     for _ in range(20):
         P = pivoting_penta(rng, int(rng.integers(5, 201)))
         b = rng.standard_normal(P.n)
         expected = reference_solve_banded(P, b)
-        assert np.max(np.abs(lp64(P, b) - expected)) <= 1e-12 * np.max(np.abs(expected))
+        assert np.max(np.abs(lp64(P)(b) - expected)) <= 1e-12 * np.max(np.abs(expected))
     for pivot in (0.0, 1e-300):
         P = Pentadiagonal(np.zeros(4), np.zeros(5), np.array([1.0, 1.0, pivot, 1.0, 1.0, 1.0]),
                           np.zeros(5), np.zeros(4))
         with pytest.raises(SingularMatrixError) as err:
-            lp64(P, np.ones(6))
+            lp64(P)
         assert err.value.row == 2
 
 

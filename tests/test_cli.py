@@ -706,7 +706,26 @@ def test_solver_failure_is_a_recorded_outcome(tmp_path, capsys, scheme):
                 "0.02", "--levels", "1", "--refine", "time", "--x_min", "-20",
                 "--ic", _singular_ic(tmp_path), "--output_dir", str(tmp_path / "conv")]
     assert main(converge) == 1
-    assert capsys.readouterr().err == f"kdvlab converge: error: {message}\n"
+    failed = f"refinement level 0 failed at {message}"
+    assert capsys.readouterr().err == f"kdvlab converge: error: {failed}\n"
+
+
+def test_converge_names_the_level_whose_picard_iteration_stalled(tmp_path, capsys, monkeypatch):
+    levels = []
+
+    def run_level(cfg):
+        if levels:  # level 1 and on: one Picard iterate per step
+            monkeypatch.setattr(crank_nicolson, "PICARD_MAX_ITERS", 1)
+        levels.append(cfg.nx)
+        return execute_run(cfg)
+
+    monkeypatch.setattr(cli, "execute_run", run_level)
+    assert main(converge_args(tmp_path, scheme="cn-implicit", levels="2")) == 1
+    assert levels == [226, 451]
+    assert capsys.readouterr().err == (
+        "kdvlab converge: error: refinement level 1 failed at step 1: Picard iteration did not "
+        "reach 1e-10 within 1 iterations (last change 0.00136346)\n"
+    )
 
 
 def test_stalled_picard_iteration_is_a_recorded_outcome(tmp_path, capsys, monkeypatch):
@@ -778,8 +797,8 @@ def test_run_meta_names_the_lapack_backend(tmp_path):
 
 
 def test_run_meta_names_the_reference_backend_when_no_symbol_resolves(tmp_path, monkeypatch):
-    monkeypatch.setattr(banded, "_lapack_solve",
-                        banded._lapack_solver(str(tmp_path / "no-such-lapack.so")))
+    monkeypatch.setattr(banded, "_lapack_factor",
+                        banded._lapack_band_lu(str(tmp_path / "no-such-lapack.so")))
     assert banded.solve_backend() == "reference"
     assert main(small_run_args(tmp_path)) == 0
     assert _meta_keys(tmp_path / "out" / "run.meta")["backend"] == "reference"

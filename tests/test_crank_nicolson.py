@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kdvlab import crank_nicolson
-from kdvlab.banded import matvec, skew_deviation, solve_banded
+from kdvlab.banded import factor_banded, matvec, skew_deviation, solve_banded
 from kdvlab.crank_nicolson import (
     EIGEN_PROBE_PARAMS,
     CnConfig,
@@ -363,6 +363,32 @@ def _composed_implicit(u_n, cfg):
     raise AssertionError("reference Picard loop did not converge")
 
 
+def _composed_chord(u_n, cfg):
+    """The chord loop in splitting form over the public assembly.
+
+    A_0 = A(u^n) is factored once; each iterate solves
+    A_0 x' = B(c) u^n - (A(c) - A_0) x at c = (u^n + x)/2, where row i of
+    A(c) - A_0 is dgamma_i at (i, i-1) and -dgamma_i at (i, i+1).
+    """
+    known = prev = u_n.values[2:-2]
+    A0, _ = assemble_lagged(u_n, cfg)
+    solve = factor_banded(A0)
+    guess = u_n
+    for iteration in range(1, crank_nicolson.PICARD_MAX_ITERS + 1):
+        A, B = assemble_implicit(u_n, guess, cfg)
+        rhs = matvec(B, known)
+        if iteration > 1:
+            dgamma = np.concatenate(([A0.sup1[0] - A.sup1[0]], A.sub1 - A0.sub1))
+            padded = np.pad(prev, 1)
+            rhs -= dgamma * (padded[:-2] - padded[2:])
+        interior = solve(rhs)
+        if np.max(np.abs(interior - prev)) < crank_nicolson.PICARD_TOL:
+            return _pinned(u_n, interior), iteration
+        prev = interior
+        guess = WaveField(u_n.grid, u_n.time, _pinned(u_n, interior))
+    raise AssertionError("reference chord loop did not converge")
+
+
 @pytest.mark.parametrize("mode", list(GammaMode))
 def test_lagged_step_is_bitwise_the_composed_assembly(mode):
     for name, values, g in _interiors():
@@ -372,13 +398,37 @@ def test_lagged_step_is_bitwise_the_composed_assembly(mode):
 
 
 def test_implicit_step_is_bitwise_the_composed_assembly():
-    for name, values, g in _interiors():
-        f = WaveField(g, 0.0, values)
-        cfg = implicit_cfg(SchemeParams(dx=g.dx, dt=1e-3))
-        out, solves = cn_step_implicit(f, cfg)
-        expected, iterations = _composed_implicit(f, cfg)
-        assert np.array_equal(out.values, expected), name
-        assert solves == iterations, name
+    # row-varying: the chord in splitting form; frozen: Picard, one factorization per iterate
+    for mode, composed in ((GammaMode.ROW_VARYING, _composed_chord),
+                           (GammaMode.FROZEN_MIDPOINT, _composed_implicit)):
+        for name, values, g in _interiors():
+            f = WaveField(g, 0.0, values)
+            cfg = implicit_cfg(SchemeParams(dx=g.dx, dt=1e-3), gamma_mode=mode)
+            out, solves = cn_step_implicit(f, cfg)
+            expected, iterations = composed(f, cfg)
+            assert np.array_equal(out.values, expected), (mode, name)
+            assert solves == iterations, (mode, name)
+
+
+@pytest.mark.parametrize(
+    "x_min, x_max, nx, dt, t_end, speed",
+    [(-10.0, 14.0, 961, 0.0025, 0.03, 0.25),  # the benchmark's soliton-implicit run
+     (-16.0, 20.0, 1801, 0.04, 2.0, 1.0)],
+    ids=["soliton-implicit", "traveling-1.0"],
+)
+def test_chord_steps_agree_with_picard(x_min, x_max, nx, dt, t_end, speed):
+    g = Grid1D(x_min, x_max, nx)
+    cfg = implicit_cfg(SchemeParams(dx=g.dx, dt=dt))
+    chord = picard = traveling_wave(g, speed, 0.0)
+    chord_solves = picard_solves = 0
+    for _ in range(round(t_end / dt)):
+        chord, solves = cn_step_implicit(chord, cfg)
+        chord_solves += solves
+        values, solves = _composed_implicit(picard, cfg)
+        picard = WaveField(g, picard.time + dt, values)
+        picard_solves += solves
+    assert np.max(np.abs(chord.values - picard.values)) <= 1e-11
+    assert chord_solves <= picard_solves
 
 
 def _count(monkeypatch, module, name):
@@ -401,14 +451,22 @@ def test_lagged_step_builds_one_matrix(monkeypatch):
 
 
 def test_implicit_step_forms_b_u_once_per_iterate(monkeypatch):
+    # row-varying: one A and one factorization per step; frozen: one of each per iterate
     g = Grid1D(-10.0, 10.0, 201)
-    products = _count(monkeypatch, crank_nicolson, "_rhs")
-    built = _count(monkeypatch, crank_nicolson, "Pentadiagonal")
-    solved = _count(monkeypatch, crank_nicolson, "solve_banded")
-    _, solves = cn_step_implicit(traveling_wave(g, 0.5, 0.0),
-                                 implicit_cfg(SchemeParams(dx=g.dx, dt=1e-2)))
-    assert solves == 4  # the frozen count of test_implicit_iteration_count_non_increasing_in_dt
-    assert len(products) == len(built) == len(solved) == solves  # A and B u per iterate, no B
+    # 4 is the row-varying count of test_implicit_iteration_count_non_increasing_in_dt
+    for mode, iterates, factorizations in ((GammaMode.ROW_VARYING, 4, 1),
+                                           (GammaMode.FROZEN_MIDPOINT, 3, 3)):
+        products = _count(monkeypatch, crank_nicolson, "_rhs")
+        built = _count(monkeypatch, crank_nicolson, "Pentadiagonal")
+        factored = _count(monkeypatch, crank_nicolson, "factor_banded")
+        solved = _count(monkeypatch, crank_nicolson, "solve_banded")
+        _, solves = cn_step_implicit(traveling_wave(g, 0.5, 0.0),
+                                     implicit_cfg(SchemeParams(dx=g.dx, dt=1e-2), gamma_mode=mode))
+        assert solves == iterates, mode
+        assert len(products) == solves, mode  # B u per iterate, no B
+        assert len(built) == len(factored) == factorizations, mode
+        assert solved == [], mode
+        monkeypatch.undo()
 
 
 def test_run_records_each_steps_picard_solves():
