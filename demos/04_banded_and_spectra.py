@@ -23,10 +23,10 @@ from kdvlab import (
     Grid1D,
     WaveField,
     appendix_profile,
+    factor_banded,
     invertibility_certificate,
     matvec,
     power_iteration,
-    solve_banded,
     symbol_bound,
 )
 from kdvlab.crank_nicolson import EIGEN_PROBE_PARAMS, assemble_lagged
@@ -40,7 +40,7 @@ print(f"A: n = {A.n}, bands ({A.sub2[0]:.1f}, {A.sub1[0]:.2f}, 1, {A.sup1[0]:.2f
 
 rng = np.random.default_rng(0)
 b = rng.standard_normal(A.n)
-x = solve_banded(A, b)
+x = factor_banded(A)(b)
 print(f"banded LU residual: {np.max(np.abs(matvec(A, x) - b)):.2e}")
 print(f"||x|| / ||b|| = {np.linalg.norm(x) / np.linalg.norm(b):.4f}  (<= 1: sigma_min >= 1)")
 

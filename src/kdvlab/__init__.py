@@ -22,10 +22,10 @@ from .banded import (
     CertificateReport,
     Pentadiagonal,
     PowerIterationReport,
+    factor_banded,
     invertibility_certificate,
     matvec,
     power_iteration,
-    solve_banded,
     symbol_bound,
 )
 from .crank_nicolson import (
@@ -34,8 +34,7 @@ from .crank_nicolson import (
     LinearizationKind,
     assemble_implicit,
     assemble_lagged,
-    cn_step_implicit,
-    cn_step_lagged,
+    cn_step,
     run_cn,
 )
 from .errors import (

@@ -10,9 +10,10 @@ The factorisation is LAPACK's ``dgbtrf``, and a solve against it
 ``dgbtrs``, called through ``ctypes`` in the LAPACK that numpy links;
 where no such symbol resolves, a hand-rolled kernel, which is also the
 reference the tests compare against, does the same elimination in
-Python and leaves the same factors.  :func:`factor_banded` factors once
-and returns a solve that can be called for any number of right-hand
-sides; :func:`solve_banded` is factor-then-solve.
+Python and leaves the same factors.  :func:`factor_banded` is the one
+entry point: it factors once and returns a solve that can be called for
+any number of right-hand sides, so ``factor_banded(P)(b)`` solves
+P x = b.
 """
 
 from __future__ import annotations
@@ -34,10 +35,8 @@ __all__ = [
     "CertificateReport",
     "matvec",
     "factor_banded",
-    "solve_banded",
     "solve_backend",
     "reference_factor_banded",
-    "reference_solve_banded",
     "power_iteration",
     "symbol_bound",
     "invertibility_certificate",
@@ -279,11 +278,6 @@ def reference_factor_banded(P: Pentadiagonal):
     return solve
 
 
-def reference_solve_banded(P: Pentadiagonal, b) -> np.ndarray:
-    """Solve P x = b with the hand-rolled kernel: the fallback and the test reference."""
-    return reference_factor_banded(P)(b)
-
-
 def _lapack_band_lu(library: str):
     """Return ``factor(P)`` over ``dgbtrf``/``dgbtrs`` from ``library``, or None.
 
@@ -396,11 +390,6 @@ def factor_banded(P: Pentadiagonal):
     return _lapack_factor(P)
 
 
-def solve_banded(P: Pentadiagonal, b) -> np.ndarray:
-    """Solve P x = b: :func:`factor_banded`, then one solve against its factors."""
-    return factor_banded(P)(b)
-
-
 def power_iteration(P: Pentadiagonal, b0, tol: float = 1e-10, max_iters: int = 10_000) -> PowerIterationReport:
     """Dominant-eigenvalue probe b_{k+1} = P b_k / ||P b_k||, one product per iterate.
 
@@ -448,11 +437,9 @@ def power_iteration(P: Pentadiagonal, b0, tol: float = 1e-10, max_iters: int = 1
 
 
 def skew_deviation(P: Pentadiagonal) -> float:
-    """Sup-norm of (P + P.T)/2 - I; exactly 0 for identity-plus-skew matrices."""
-    dev = np.abs(P.diag - 1.0).max()
-    dev = max(dev, np.abs((P.sub1 + P.sup1) / 2.0).max())
-    dev = max(dev, np.abs((P.sub2 + P.sup2) / 2.0).max())
-    return float(dev)
+    """Sup-norm of (P + P.T)/2 - I: exactly 0 for identity-plus-skew P, nan for a nan entry."""
+    dev = np.maximum(np.abs(P.diag - 1.0).max(), np.abs((P.sub1 + P.sup1) / 2.0).max())
+    return float(np.maximum(dev, np.abs((P.sub2 + P.sup2) / 2.0).max()))
 
 
 # Outward rounding of symbol_bound: 32 units of 2**-52, several times the
@@ -512,11 +499,15 @@ def symbol_bound(P: Pentadiagonal) -> float:
 def invertibility_certificate(P: Pentadiagonal) -> CertificateReport:
     """Certify that P is invertible.
 
+    A non-finite entry yields ``certified=False`` before anything else.
     Matrices of the form I + K with K skew-symmetric are certified
     analytically: their eigenvalues are 1 + i*mu with mu real, so every
-    singular value is at least 1.  Anything else is probed by banded LU;
-    pivot failure yields ``certified=False``.
+    singular value is at least 1.  Anything else is factored by banded
+    LU; pivot failure yields ``certified=False``.
     """
+    if not math.isfinite(_pivot_floor(P)):  # two band reductions: finite iff every entry is
+        return CertificateReport(method="finite-entries", certified=False,
+                                 detail="P has a non-finite entry")
     if skew_deviation(P) == 0.0:
         return CertificateReport(
             method="identity-plus-skew",
@@ -524,7 +515,7 @@ def invertibility_certificate(P: Pentadiagonal) -> CertificateReport:
             detail="P = I + K with K^T = -K: eigenvalues 1 + i*mu, sigma_min >= 1",
         )
     try:
-        solve_banded(P, np.ones(P.n))
+        factor_banded(P)
     except SingularMatrixError as exc:
         return CertificateReport(
             method="LU-factorization",

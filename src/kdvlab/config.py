@@ -88,6 +88,9 @@ class RunConfig(_Config):
             raise ConfigError(
                 f"gamma_mode must be one of {GAMMA_MODES}, got {self.gamma_mode!r}"
             )
+        if self.scheme == "explicit" and self.paper_normalization:
+            raise ConfigError("paper_normalization = on needs a cn scheme: "
+                              "scheme = explicit never normalizes")
         kind, value = self.ic
         if kind not in IC_KINDS:
             raise ConfigError(f"ic must be one of {IC_KINDS}, got {kind!r}")

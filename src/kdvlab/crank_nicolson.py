@@ -7,12 +7,12 @@ gamma_i = alpha/2 + (3 beta/8) c_i and outer weight alpha/4.  Row i of A
 has bands (-alpha/4, +gamma_i, 1, -gamma_i, +alpha/4), and B = 2I - A.
 This is the theta = 1/2 member of a theta-scheme;
 :func:`~kdvlab.explicit.explicit_step` is its theta = 0 member, B at
-twice the weights.  The CN variants differ only in c: the lagged scheme
-takes c = u^n (one solve per step); the implicit scheme takes the time
-midpoint c = (u^n + g)/2 and resolves the guess g by a fixed-point
-iteration from g = u^n, one solve per iterate.  Row-varying, a step
-factors A(u^n) once and each iterate back-substitutes against it (a
-chord iteration); frozen, each iterate factors its own A.
+twice the weights.  The CN variants differ only in c, and one step,
+:func:`cn_step`, serves both: the lagged scheme takes c = u^n (one
+solve); the implicit scheme takes c = (u^n + g)/2 and resolves g by a
+fixed-point iteration from g = u^n, one solve per iterate.  Row-varying,
+a step factors A(u^n) once and each iterate back-substitutes against it
+(a chord iteration); frozen, each iterate factors its own A.
 
 ``gamma_mode`` varies c per row or freezes it at its domain-midpoint
 value.  Frozen, A = I + K with K exactly skew-symmetric, so each solve
@@ -31,7 +31,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from .banded import Pentadiagonal, factor_banded, solve_banded
+from .banded import Pentadiagonal, factor_banded
 from .errors import BlowUpError, FixedPointError
 from .evolution import RunResult, evolve, next_state
 from .model import SchemeParams, TimeGrid, WaveField
@@ -43,8 +43,6 @@ __all__ = [
     "CnConfig",
     "assemble_lagged",
     "assemble_implicit",
-    "cn_step_lagged",
-    "cn_step_implicit",
     "cn_step",
     "run_cn",
     "DEMO_PARAMS",
@@ -178,13 +176,6 @@ def _finish_step(u_n: WaveField, interior: np.ndarray, cfg: CnConfig) -> WaveFie
     return next_state(u_n, new, cfg.params.dt)
 
 
-def cn_step_lagged(u_n: WaveField, cfg: CnConfig) -> WaveField:
-    """One lagged-coefficient step: solve A x = B u at c = u^n, re-pin boundaries."""
-    known = _interior(u_n)
-    gamma, quarter = _cn_weights(known, cfg)
-    return _finish_step(u_n, solve_banded(_lhs(gamma, quarter), _rhs(known, gamma, quarter)), cfg)
-
-
 def _centered_difference(x: np.ndarray) -> np.ndarray:
     """x_{i-1} - x_{i+1}, with zeros beyond both ends."""
     d = np.zeros_like(x)
@@ -193,19 +184,19 @@ def _centered_difference(x: np.ndarray) -> np.ndarray:
     return d
 
 
-def cn_step_implicit(u_n: WaveField, cfg: CnConfig) -> Tuple[WaveField, int]:
-    """One implicit-coefficient step: the fixed point x = A(c)^-1 B(c) u^n at c = (u^n + x)/2.
+def cn_step(u_n: WaveField, cfg: CnConfig) -> Tuple[WaveField, int]:
+    """One step of ``cfg.linearization``: (field, solves).
 
-    Starts from x_0 = u^n, so the first iterate is the lagged step, and
-    iterates until an iterate changes by less than :data:`PICARD_TOL` in
-    the sup norm.  Returns the converged field and the number of
-    iterates, each one solve.
+    Solves A_0 x = B u^n at c = u^n, A_0 = A(u^n); the lagged step stops
+    there, after 1 solve.  The implicit step iterates on from that x_1 to
+    the fixed point x = A(c)^-1 B(c) u^n at c = (u^n + x)/2, until an
+    iterate changes by less than :data:`PICARD_TOL` in the sup norm, and
+    counts its iterates, each one solve.
 
-    Row-varying, A_0 = A(u^n) is factored once per step, and each iterate
-    solves A_0 x_{k+1} = B(c_k) u^n - (A(c_k) - A_0) x_k against it, with
-    c_k = (u^n + x_k)/2: a chord iteration in splitting form, whose fixed
-    point is Picard's.  A(c_k) - A_0 has only the off-diagonals
-    +-(gamma_k - gamma_0), so the correction is
+    Row-varying, each iterate solves A_0 x_{k+1} = B(c_k) u^n - (A(c_k) - A_0) x_k
+    against the one factorization, with c_k = (u^n + x_k)/2: a chord
+    iteration in splitting form, whose fixed point is Picard's.  A(c_k) - A_0
+    has only the off-diagonals +-(gamma_k - gamma_0), so the correction is
     (gamma_k - gamma_0)_i (x_{i-1} - x_{i+1}).  Frozen-midpoint
     refactors A(c_k) at every iterate instead, so that every iterate is an
     exact Cayley transform of u^n: with the splitting form's correction,
@@ -215,6 +206,9 @@ def cn_step_implicit(u_n: WaveField, cfg: CnConfig) -> Tuple[WaveField, int]:
     gamma0, quarter = _cn_weights(known, cfg)
     rhs = _rhs(known, gamma0, quarter)  # an overflow is a blow-up before any factorization
     solve = factor_banded(_lhs(gamma0, quarter))
+    interior = solve(rhs)
+    if cfg.linearization is LinearizationKind.LAGGED_COEFFICIENT:
+        return _finish_step(u_n, interior, cfg), 1
     for iteration in range(1, PICARD_MAX_ITERS + 1):
         if iteration > 1:
             gamma, _ = _cn_weights(_midpoint(known, guess), cfg)
@@ -223,7 +217,7 @@ def cn_step_implicit(u_n: WaveField, cfg: CnConfig) -> Tuple[WaveField, int]:
                 solve = factor_banded(_lhs(gamma, quarter))
             else:
                 rhs -= (gamma - gamma0) * _centered_difference(guess)
-        interior = solve(rhs)
+            interior = solve(rhs)
         change = float(np.max(np.abs(interior - guess)))
         if not np.isfinite(change):
             raise BlowUpError("Picard iterate became non-finite", max_value=float("inf"))
@@ -236,13 +230,6 @@ def cn_step_implicit(u_n: WaveField, cfg: CnConfig) -> Tuple[WaveField, int]:
         residual=change,
         iterations=PICARD_MAX_ITERS,
     )
-
-
-def cn_step(u_n: WaveField, cfg: CnConfig) -> Tuple[WaveField, int]:
-    """Dispatch one step on ``cfg.linearization``: (field, solves), 1 solve if lagged."""
-    if cfg.linearization is LinearizationKind.IMPLICIT_COEFFICIENT:
-        return cn_step_implicit(u_n, cfg)
-    return cn_step_lagged(u_n, cfg), 1
 
 
 def run_cn(

@@ -23,9 +23,7 @@ from kdvlab.banded import (
     matvec,
     power_iteration,
     reference_factor_banded,
-    reference_solve_banded,
     skew_deviation,
-    solve_banded,
     symbol_bound,
 )
 from kdvlab.cli import eigen_report_text
@@ -33,11 +31,10 @@ from kdvlab.config import parse_eigen_config
 from kdvlab.crank_nicolson import assemble_implicit, assemble_lagged
 from kdvlab.errors import SingularMatrixError
 
-# The solve tests run each case through both solve paths: solve_banded
+# The solve tests run each case through both solve paths: factor_banded
 # (LAPACK band LU where it resolves) and the hand-rolled reference kernel,
 # which is also the fallback where no LAPACK band LU is found.
-SOLVERS = {"solve_banded": solve_banded, "reference": reference_solve_banded}
-FACTORS = {"solve_banded": factor_banded, "reference": reference_factor_banded}
+FACTORS = {"factor_banded": factor_banded, "reference": reference_factor_banded}
 
 
 def _scipy_openblas():
@@ -200,8 +197,8 @@ def test_bands_share_one_read_only_array_that_solves_leave_unchanged():
         for band in (P.sub2, P.sub1, P.diag, P.sup1, P.sup2):
             assert band.base is ab and not band.flags.writeable
         before = ab.tobytes()
-        for solve in SOLVERS.values():
-            solve(P, rng.standard_normal(n))
+        for factor in FACTORS.values():
+            factor(P)(rng.standard_normal(n))
             assert ab.tobytes() == before
 
 
@@ -213,12 +210,12 @@ def test_lapack_solves_in_threads_match_the_reference():
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=4) as pool:
-            got = list(pool.map(lambda case: solve_banded(*case), cases * 25, timeout=60))
+            got = list(pool.map(lambda case: factor_banded(case[0])(case[1]), cases * 25, timeout=60))
     finally:
         sys.setswitchinterval(interval)
     for (P, b), x in zip(cases * 25, got):
-        assert np.array_equal(x, solve_banded(P, b))
-        assert np.max(np.abs(x - reference_solve_banded(P, b))) <= 1e-12 * np.max(np.abs(x))
+        assert np.array_equal(x, factor_banded(P)(b))
+        assert np.max(np.abs(x - reference_factor_banded(P)(b))) <= 1e-12 * np.max(np.abs(x))
 
 
 # ---------------------------------------------------------------------------
@@ -268,14 +265,14 @@ def test_matvec_dimension_mismatch():
 
 def test_solve_identity():
     b = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
-    assert np.array_equal(solve_banded(Pentadiagonal.identity(5), b), b)
+    assert np.array_equal(factor_banded(Pentadiagonal.identity(5))(b), b)
 
 
 def test_solve_matches_dense_oracle_large():
     rng = np.random.default_rng(16)
     P = random_penta(rng, 200)
     b = rng.standard_normal(200)
-    x = solve_banded(P, b)
+    x = factor_banded(P)(b)
     assert np.max(np.abs(x - np.linalg.solve(P.to_dense(), b))) <= 1e-10
 
 
@@ -286,8 +283,8 @@ def test_solve_matches_dense_oracle_many_sizes():
         P = random_penta(rng, n)
         b = rng.standard_normal(n)
         expected = np.linalg.solve(P.to_dense(), b)
-        for name, solve in SOLVERS.items():
-            assert np.max(np.abs(solve(P, b) - expected)) <= 1e-10, name
+        for name, factor in FACTORS.items():
+            assert np.max(np.abs(factor(P)(b) - expected)) <= 1e-10, name
 
 
 def test_solve_classic_band_pattern_residual():
@@ -296,8 +293,8 @@ def test_solve_classic_band_pattern_residual():
     P = skew_penta(500.0, 250.0, 50)
     rng = np.random.default_rng(18)
     b = rng.standard_normal(50)
-    for name, solve in SOLVERS.items():
-        x = solve(P, b)
+    for name, factor in FACTORS.items():
+        x = factor(P)(b)
         assert np.max(np.abs(matvec(P, x) - b)) / np.max(np.abs(b)) <= 1e-9, name
 
 
@@ -307,8 +304,8 @@ def test_solve_round_trip_through_matvec():
         n = int(rng.integers(6, 80))
         P = random_penta(rng, n)
         x = rng.standard_normal(n)
-        for name, solve in SOLVERS.items():
-            back = solve(P, matvec(P, x))
+        for name, factor in FACTORS.items():
+            back = factor(P)(matvec(P, x))
             assert np.max(np.abs(back - x)) <= 1e-8, name
 
 
@@ -318,8 +315,8 @@ def test_solve_skew_structure_never_amplifies():
     for gamma, quarter in [(500.0, 250.0), (5000.0, 2500.0), (0.3, 0.02)]:
         P = skew_penta(gamma, quarter, 60)
         b = rng.standard_normal(60)
-        for name, solve in SOLVERS.items():
-            x = solve(P, b)
+        for name, factor in FACTORS.items():
+            x = factor(P)(b)
             assert np.linalg.norm(x) <= np.linalg.norm(b) + 1e-8, name
 
 
@@ -334,9 +331,9 @@ def test_solve_singular_reports_row():
             sup1=np.zeros(5),
             sup2=np.zeros(4),
         )
-        for name, solve in SOLVERS.items():
+        for name, factor in FACTORS.items():
             with pytest.raises(SingularMatrixError) as err:
-                solve(P, np.ones(6))
+                factor(P)(np.ones(6))
             assert err.value.row == 2, (name, pivot)
 
 
@@ -353,8 +350,8 @@ def test_solve_needs_pivoting():
     )
     P = from_dense(dense)
     b = np.array([1.0, -2.0, 0.5, 3.0, 1.0])
-    for name, solve in SOLVERS.items():
-        x = solve(P, b)
+    for name, factor in FACTORS.items():
+        x = factor(P)(b)
         assert np.allclose(dense @ x, b, rtol=0.0, atol=1e-12), name
 
 
@@ -364,8 +361,8 @@ def test_solve_agrees_with_reference_kernel_when_pivoting():
         P = pivoting_penta(rng, int(rng.integers(5, 201)))
         assert abs(P.sub1[0]) > abs(P.diag[0])
         b = rng.standard_normal(P.n)
-        expected = reference_solve_banded(P, b)
-        x = solve_banded(P, b)
+        expected = reference_factor_banded(P)(b)
+        x = factor_banded(P)(b)
         assert np.max(np.abs(x - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
@@ -376,8 +373,8 @@ def test_pivoting_solves_agree_with_both_references(n, seed):
     P = pivoting_penta(rng, n)
     assert abs(P.sub1[0]) > abs(P.diag[0])  # the first column already swaps rows
     b = rng.standard_normal(n)
-    x = solve_banded(P, b)
-    for expected in (reference_solve_banded(P, b), np.linalg.solve(P.to_dense(), b)):
+    x = factor_banded(P)(b)
+    for expected in (reference_factor_banded(P)(b), np.linalg.solve(P.to_dense(), b)):
         assert np.max(np.abs(x - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
@@ -402,9 +399,9 @@ def test_planted_sub_floor_pivot_fails_at_its_row_on_both_paths(n, seed, where, 
     dense[r, r] = sign * scale * banded.PIVOT_RTOL * np.max(np.abs(dense))
     P = from_dense(dense)
     rows = []
-    for solve in SOLVERS.values():
+    for factor in FACTORS.values():
         with pytest.raises(SingularMatrixError) as err:
-            solve(P, rng.standard_normal(n))
+            factor(P)(rng.standard_normal(n))
         rows.append(err.value.row)
     assert rows == [r, r]
 
@@ -414,11 +411,11 @@ def test_one_factorization_solves_many_right_hand_sides():
     for n in (5, 6, 57, 400):
         P = pivoting_penta(rng, n)
         rhs = rng.standard_normal((4, n))
-        expected = {"solve_banded": [solve_banded(P, b) for b in rhs],
-                    "reference": [reference_solve_banded(P, b) for b in rhs]}
+        expected = {"factor_banded": [factor_banded(P)(b) for b in rhs],
+                    "reference": [reference_factor_banded(P)(b) for b in rhs]}
         for name, factor in FACTORS.items():
             solve = factor(P)
-            for b, x, own in zip(rhs, expected["solve_banded"], expected[name]):
+            for b, x, own in zip(rhs, expected["factor_banded"], expected[name]):
                 got = solve(b)
                 assert np.array_equal(got, own), (name, n)  # factor-then-solve, bit for bit
                 assert np.max(np.abs(got - x)) <= 1e-12 * np.max(np.abs(x)), (name, n)
@@ -462,7 +459,7 @@ def test_a_solve_against_overwritten_factors_raises():
     factor_banded(R)  # another size: the thread moves to a new working array
     assert np.array_equal(factor_banded(P)(b), x)  # and then to another one at size 50
     assert np.array_equal(second(b), y)  # whose factors no later factorization touched
-    assert np.max(np.abs(x - reference_solve_banded(P, b))) <= 1e-12 * np.max(np.abs(x))
+    assert np.max(np.abs(x - reference_factor_banded(P)(b))) <= 1e-12 * np.max(np.abs(x))
 
 
 def test_band_lu_resolution_falls_back_when_library_is_missing(tmp_path):
@@ -470,14 +467,14 @@ def test_band_lu_resolution_falls_back_when_library_is_missing(tmp_path):
 
 
 @pytest.mark.skipif(SCIPY_OPENBLAS is None, reason="scipy's bundled OpenBLAS is not installed")
-def test_lp64_band_lu_agrees_with_solve_banded():
+def test_lp64_band_lu_agrees_with_factor_banded():
     lp64 = banded._lapack_band_lu(SCIPY_OPENBLAS)
     assert lp64 is not None
     rng = np.random.default_rng(27)
     for _ in range(20):
         P = pivoting_penta(rng, int(rng.integers(5, 201)))
         b = rng.standard_normal(P.n)
-        expected = reference_solve_banded(P, b)
+        expected = reference_factor_banded(P)(b)
         assert np.max(np.abs(lp64(P)(b) - expected)) <= 1e-12 * np.max(np.abs(expected))
     for pivot in (0.0, 1e-300):
         P = Pentadiagonal(np.zeros(4), np.zeros(5), np.array([1.0, 1.0, pivot, 1.0, 1.0, 1.0]),
@@ -772,3 +769,29 @@ def test_certificate_rejects_singular():
     rep = invertibility_certificate(P)
     assert not rep.certified
     assert rep.method == "LU-factorization"
+
+
+_MIRROR = {"sub2": "sup2", "sub1": "sup1", "diag": "diag", "sup1": "sub1", "sup2": "sub2"}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("base", ["identity", "skew", "mirrored-skew", "random"])
+def test_a_non_finite_entry_is_never_certified(base, bad):
+    # mirrored-skew keeps P = I + K in shape: the mirror entry gets -bad, so
+    # (P + P^T)/2 - I reads nan there; identity and random go to the LU path
+    n = 12
+    for band, _ in _BAND_LENGTHS:
+        for where in (0, 5, -1):
+            P = {"identity": Pentadiagonal.identity(n), "skew": skew_penta(500.0, 250.0, n),
+                 "random": random_penta(np.random.default_rng(31), n)}[base.replace("mirrored-", "")]
+            bands = {name: getattr(P, name).copy() for name, _ in _BAND_LENGTHS}
+            bands[band][where] = bad
+            if base == "mirrored-skew" and band != "diag":
+                bands[_MIRROR[band]][where] = -bad
+            P = Pentadiagonal(**bands)
+            rep = invertibility_certificate(P)
+            assert (rep.certified, rep.method) == (False, "finite-entries"), (band, where)
+            assert rep.detail == "P has a non-finite entry"
+            with np.errstate(invalid="ignore"):  # inf + -inf is nan, and numpy says so
+                deviation = skew_deviation(P)
+            assert math.isnan(deviation) if math.isnan(bad) else not math.isfinite(deviation)

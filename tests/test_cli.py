@@ -354,6 +354,20 @@ def test_eigen_rejects_scheme_and_paper_normalization(tmp_path, capsys):
     assert "unknown key for the eigen command" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["run", "converge"])
+def test_explicit_scheme_refuses_paper_normalization(tmp_path, capsys, command):
+    # the explicit step never normalizes, so "on" would be echoed but not applied
+    out = tmp_path / "out"
+    args = [command, "--scheme", "explicit", "--paper_normalization", "on", "--output_dir", str(out)]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"kdvlab {command}: error: ")
+    assert "paper_normalization" in err and "scheme = explicit" in err
+    assert not out.exists()
+    with pytest.raises(ConfigError, match="paper_normalization.*scheme = explicit"):
+        parse_config("scheme = explicit\npaper_normalization = on")
+
+
 def test_unallocatable_grid_is_a_clean_error(tmp_path, capsys):
     # 10^15 doubles (7 PiB) exceed the address space: refused before any page is touched
     args = ["run", "--nx", "1000000000000000", "--output_dir", str(tmp_path / "out")]

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kdvlab import crank_nicolson
-from kdvlab.banded import factor_banded, matvec, skew_deviation, solve_banded
+from kdvlab.banded import factor_banded, matvec, skew_deviation
 from kdvlab.crank_nicolson import (
     EIGEN_PROBE_PARAMS,
     CnConfig,
@@ -15,8 +15,6 @@ from kdvlab.crank_nicolson import (
     assemble_implicit,
     assemble_lagged,
     cn_step,
-    cn_step_implicit,
-    cn_step_lagged,
     run_cn,
 )
 from kdvlab.errors import FixedPointError
@@ -105,7 +103,7 @@ def test_assembly_rejects_tiny_grids():
 
 def test_lagged_step_zero_field():
     f = zero_field()
-    out = cn_step_lagged(f, lagged_cfg(EIGEN_PROBE_PARAMS))
+    out = cn_step(f, lagged_cfg(EIGEN_PROBE_PARAMS))[0]
     assert np.array_equal(out.values, np.zeros(54))
 
 
@@ -114,7 +112,7 @@ def test_lagged_step_matches_dense_solve():
     g = Grid1D(0.0, 3.0, 31)
     f = WaveField(g, 0.0, rng.standard_normal(31))
     cfg = lagged_cfg(SchemeParams(dx=g.dx, dt=0.005))
-    out = cn_step_lagged(f, cfg)
+    out = cn_step(f, cfg)[0]
     A, B = assemble_lagged(f, cfg)
     dense = np.linalg.solve(A.to_dense(), matvec(B, f.values[2:-2]))
     assert np.max(np.abs(out.values[2:-2] - dense)) <= 1e-10
@@ -127,7 +125,7 @@ def test_lagged_one_step_defect_against_analytic():
     g = Grid1D(-30.0, 30.0, 1201)
     dt = 1e-3
     ic = traveling_wave(g, 0.5, 0.0)
-    out = cn_step_lagged(ic, lagged_cfg(SchemeParams(dx=g.dx, dt=dt)))
+    out = cn_step(ic, lagged_cfg(SchemeParams(dx=g.dx, dt=dt)))[0]
     exact = traveling_wave(g, 0.5, dt)
     defect = np.max(np.abs(out.values - exact.values))
     assert defect <= 2e-4 * dt
@@ -138,18 +136,18 @@ def test_lagged_step_is_deterministic():
     g = Grid1D(-5.0, 5.0, 101)
     f = WaveField(g, 0.0, rng.standard_normal(101) * 0.1)
     cfg = lagged_cfg(SchemeParams(dx=g.dx, dt=0.01))
-    assert np.array_equal(cn_step_lagged(f, cfg).values, cn_step_lagged(f, cfg).values)
+    assert np.array_equal(cn_step(f, cfg)[0].values, cn_step(f, cfg)[0].values)
 
 
 def test_paper_normalization_rescales_interior():
     g = Grid1D(-10.0, 10.0, 101)
     ic = traveling_wave(g, 0.5, 0.0)
     cfg = lagged_cfg(SchemeParams(dx=g.dx, dt=0.01), paper_normalization=True)
-    out = cn_step_lagged(ic, cfg)
+    out = cn_step(ic, cfg)[0]
     assert np.max(np.abs(out.values)) == pytest.approx(1.0, abs=1e-14)
     # a zero field must survive normalization untouched
     zeros = WaveField(g, 0.0, np.zeros(101))
-    assert np.array_equal(cn_step_lagged(zeros, cfg).values, np.zeros(101))
+    assert np.array_equal(cn_step(zeros, cfg)[0].values, np.zeros(101))
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +190,7 @@ def test_implicit_diagonal_is_one():
 
 
 def test_implicit_zero_field_converges_immediately():
-    out, iterations = cn_step_implicit(zero_field(), implicit_cfg(EIGEN_PROBE_PARAMS))
+    out, iterations = cn_step(zero_field(), implicit_cfg(EIGEN_PROBE_PARAMS))
     assert np.array_equal(out.values, np.zeros(54))
     assert iterations == 1
 
@@ -204,8 +202,8 @@ def test_implicit_agrees_with_lagged_for_small_amplitude():
     x = g.points()
     f = WaveField(g, 0.0, 1e-3 * np.exp(-(x**2) / 4.0))
     params = SchemeParams(dx=g.dx, dt=1e-4)
-    lag = cn_step_lagged(f, lagged_cfg(params))
-    imp, _ = cn_step_implicit(f, implicit_cfg(params))
+    lag = cn_step(f, lagged_cfg(params))[0]
+    imp, _ = cn_step(f, implicit_cfg(params))
     assert np.max(np.abs(lag.values - imp.values)) <= 1e-9
 
 
@@ -214,7 +212,7 @@ def test_implicit_iteration_count_non_increasing_in_dt():
     f = traveling_wave(g, 0.5, 0.0)
     counts = []
     for dt in (1e-2, 1e-3, 1e-4):
-        _, iterations = cn_step_implicit(f, implicit_cfg(SchemeParams(dx=g.dx, dt=dt)))
+        _, iterations = cn_step(f, implicit_cfg(SchemeParams(dx=g.dx, dt=dt)))
         counts.append(iterations)
     assert counts[0] >= counts[1] >= counts[2]
     assert counts == [4, 3, 3]  # frozen regression
@@ -226,7 +224,7 @@ def test_implicit_reports_fixed_point_failure(monkeypatch):
     monkeypatch.setattr(crank_nicolson, "PICARD_MAX_ITERS", 1)
     cfg = implicit_cfg(SchemeParams(dx=g.dx, dt=1e-2))
     with pytest.raises(FixedPointError) as err:
-        cn_step_implicit(f, cfg)
+        cn_step(f, cfg)
     assert err.value.residual > 0.0
 
 
@@ -249,8 +247,8 @@ def test_gamma_mode_acts_on_the_implicit_step():
     g = Grid1D(-10.0, 10.0, 201)
     f = traveling_wave(g, 1.0, -2.0)  # peak away from the frozen midpoint x = 0
     params = SchemeParams(dx=g.dx, dt=1e-2)
-    frozen, _ = cn_step_implicit(f, implicit_cfg(params, gamma_mode=GammaMode.FROZEN_MIDPOINT))
-    varying, _ = cn_step_implicit(f, implicit_cfg(params, gamma_mode=GammaMode.ROW_VARYING))
+    frozen, _ = cn_step(f, implicit_cfg(params, gamma_mode=GammaMode.FROZEN_MIDPOINT))
+    varying, _ = cn_step(f, implicit_cfg(params, gamma_mode=GammaMode.ROW_VARYING))
     assert np.max(np.abs(frozen.values - varying.values)) > 1e-3
 
 
@@ -346,7 +344,7 @@ def _pinned(u_n, interior):
 def _composed_lagged(u_n, cfg):
     """The lagged step as the public assembly, matvec and solve compose it."""
     A, B = assemble_lagged(u_n, cfg)
-    return _pinned(u_n, solve_banded(A, matvec(B, u_n.values[2:-2])))
+    return _pinned(u_n, factor_banded(A)(matvec(B, u_n.values[2:-2])))
 
 
 def _composed_implicit(u_n, cfg):
@@ -355,7 +353,7 @@ def _composed_implicit(u_n, cfg):
     guess = u_n
     for iteration in range(1, crank_nicolson.PICARD_MAX_ITERS + 1):
         A, B = assemble_implicit(u_n, guess, cfg)
-        interior = solve_banded(A, matvec(B, u_n.values[2:-2]))
+        interior = factor_banded(A)(matvec(B, u_n.values[2:-2]))
         if np.max(np.abs(interior - prev)) < crank_nicolson.PICARD_TOL:
             return _pinned(u_n, interior), iteration
         prev = interior
@@ -394,7 +392,7 @@ def test_lagged_step_is_bitwise_the_composed_assembly(mode):
     for name, values, g in _interiors():
         f = WaveField(g, 0.0, values)
         cfg = lagged_cfg(SchemeParams(dx=g.dx, dt=0.01), mode)
-        assert np.array_equal(cn_step_lagged(f, cfg).values, _composed_lagged(f, cfg)), name
+        assert np.array_equal(cn_step(f, cfg)[0].values, _composed_lagged(f, cfg)), name
 
 
 def test_implicit_step_is_bitwise_the_composed_assembly():
@@ -404,7 +402,7 @@ def test_implicit_step_is_bitwise_the_composed_assembly():
         for name, values, g in _interiors():
             f = WaveField(g, 0.0, values)
             cfg = implicit_cfg(SchemeParams(dx=g.dx, dt=1e-3), gamma_mode=mode)
-            out, solves = cn_step_implicit(f, cfg)
+            out, solves = cn_step(f, cfg)
             expected, iterations = composed(f, cfg)
             assert np.array_equal(out.values, expected), (mode, name)
             assert solves == iterations, (mode, name)
@@ -422,7 +420,7 @@ def test_chord_steps_agree_with_picard(x_min, x_max, nx, dt, t_end, speed):
     chord = picard = traveling_wave(g, speed, 0.0)
     chord_solves = picard_solves = 0
     for _ in range(round(t_end / dt)):
-        chord, solves = cn_step_implicit(chord, cfg)
+        chord, solves = cn_step(chord, cfg)
         chord_solves += solves
         values, solves = _composed_implicit(picard, cfg)
         picard = WaveField(g, picard.time + dt, values)
@@ -443,11 +441,41 @@ def _count(monkeypatch, module, name):
     return calls
 
 
+def _count_solves(monkeypatch):
+    """Count the step's factorizations, and the solves made against their factors."""
+    factored, solved = [], []
+    real = crank_nicolson.factor_banded
+
+    def factor(P):
+        factored.append(P)
+        solve = real(P)
+        return lambda b: solved.append(len(factored)) or solve(b)
+
+    monkeypatch.setattr(crank_nicolson, "factor_banded", factor)
+    return factored, solved
+
+
 def test_lagged_step_builds_one_matrix(monkeypatch):
     g = Grid1D(-20.0, 20.0, 201)
     built = _count(monkeypatch, crank_nicolson, "Pentadiagonal")
-    cn_step_lagged(traveling_wave(g, 0.5, 0.0), lagged_cfg(SchemeParams(dx=g.dx, dt=0.01)))
+    cn_step(traveling_wave(g, 0.5, 0.0), lagged_cfg(SchemeParams(dx=g.dx, dt=0.01)))
     assert len(built) == 1
+
+
+@pytest.mark.parametrize("mode", list(GammaMode))
+def test_lagged_step_is_the_implicit_step_stopped_after_one_iterate(monkeypatch, mode):
+    g = Grid1D(-10.0, 10.0, 201)
+    f = traveling_wave(g, 0.5, 0.0)
+    params = SchemeParams(dx=g.dx, dt=1e-2)
+    built = _count(monkeypatch, crank_nicolson, "Pentadiagonal")
+    factored, solved = _count_solves(monkeypatch)
+    lagged, solves = cn_step(f, lagged_cfg(params, mode))
+    assert (solves, len(built), solved) == (1, 1, [1])
+    monkeypatch.setattr(crank_nicolson, "PICARD_TOL", float("inf"))  # stop at the first iterate
+    implicit, iterates = cn_step(f, implicit_cfg(params, gamma_mode=mode))
+    assert iterates == 1 and len(built) == len(factored) == 2 and solved == [1, 2]
+    assert np.array_equal(lagged.values, implicit.values)
+    assert lagged.time == implicit.time == 1e-2
 
 
 def test_implicit_step_forms_b_u_once_per_iterate(monkeypatch):
@@ -458,14 +486,14 @@ def test_implicit_step_forms_b_u_once_per_iterate(monkeypatch):
                                            (GammaMode.FROZEN_MIDPOINT, 3, 3)):
         products = _count(monkeypatch, crank_nicolson, "_rhs")
         built = _count(monkeypatch, crank_nicolson, "Pentadiagonal")
-        factored = _count(monkeypatch, crank_nicolson, "factor_banded")
-        solved = _count(monkeypatch, crank_nicolson, "solve_banded")
-        _, solves = cn_step_implicit(traveling_wave(g, 0.5, 0.0),
-                                     implicit_cfg(SchemeParams(dx=g.dx, dt=1e-2), gamma_mode=mode))
+        factored, solved = _count_solves(monkeypatch)
+        _, solves = cn_step(traveling_wave(g, 0.5, 0.0),
+                            implicit_cfg(SchemeParams(dx=g.dx, dt=1e-2), gamma_mode=mode))
         assert solves == iterates, mode
         assert len(products) == solves, mode  # B u per iterate, no B
         assert len(built) == len(factored) == factorizations, mode
-        assert solved == [], mode
+        # one solve per iterate, each against the latest factors
+        assert solved == ([1] * iterates if factorizations == 1 else [1, 2, 3]), mode
         monkeypatch.undo()
 
 
@@ -476,7 +504,7 @@ def test_run_records_each_steps_picard_solves():
     res = run_cn(ic, cfg, TimeGrid(0.1, 0.01), [0.1])
     state, expected = ic, []
     for _ in range(10):
-        state, solves = cn_step_implicit(state, cfg)
+        state, solves = cn_step(state, cfg)
         expected.append(solves)
     assert res.picard_solves == tuple(expected)
     assert np.array_equal(res.snapshots[-1].values, state.values)

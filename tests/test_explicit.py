@@ -5,8 +5,7 @@ import pytest
 
 from kdvlab import crank_nicolson, evolution, explicit, model
 from kdvlab.errors import BlowUpError, FixedPointError, SingularMatrixError
-from kdvlab.crank_nicolson import (CnConfig, LinearizationKind, _rhs, _weights, cn_step_implicit,
-                                   cn_step_lagged)
+from kdvlab.crank_nicolson import CnConfig, LinearizationKind, _rhs, _weights, cn_step
 from kdvlab.evolution import MAX_AMPLITUDE, evolve, next_state
 from kdvlab.explicit import explicit_step, run_explicit
 from kdvlab.model import Grid1D, SchemeParams, TimeGrid, WaveField, appendix_profile
@@ -132,8 +131,8 @@ def test_every_scheme_blows_up_by_the_one_rule(scheme):
     params = make_cfg(g.dx, 1e-9)
     step = {
         "explicit": lambda: explicit_step(f, params),
-        "cn-lagged": lambda: cn_step_lagged(f, CnConfig(params)),
-        "cn-implicit": lambda: cn_step_implicit(
+        "cn-lagged": lambda: cn_step(f, CnConfig(params))[0],
+        "cn-implicit": lambda: cn_step(
             f, CnConfig(params, linearization=LinearizationKind.IMPLICIT_COEFFICIENT)),
     }[scheme]
     with pytest.raises(BlowUpError) as err:
@@ -181,7 +180,7 @@ def test_steps_build_their_state_through_the_constructor(monkeypatch):
     g = Grid1D(-10.0, 10.0, 41)
     f = real(g, 0.0, 1e-3 * np.exp(-g.points() ** 2))
     params = SchemeParams(dx=g.dx, dt=0.01)
-    for step in (lambda: explicit_step(f, params), lambda: cn_step_lagged(f, CnConfig(params))):
+    for step in (lambda: explicit_step(f, params), lambda: cn_step(f, CnConfig(params))[0]):
         built.clear()
         state = step()
         assert len(built) == 1  # one construction per step
