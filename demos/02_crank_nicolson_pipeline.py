@@ -10,15 +10,15 @@ With the frozen coefficient the interior update is a Cayley transform
 blow up no matter how large alpha = dt/dx^3 gets (here alpha = 1e4).
 """
 
-from kdvlab import CnConfig, GammaMode, Grid1D, TimeGrid, appendix_profile, run_cn
+from kdvlab import Grid1D, SchemeConfig, TimeGrid, appendix_profile, run
 from kdvlab.crank_nicolson import DEMO_PARAMS
 
 grid = Grid1D(-20.0, 20.0, 4001)
 ic = appendix_profile(grid)                      # 0.5 * sech^2(x/2)
-cfg = CnConfig(params=DEMO_PARAMS, gamma_mode=GammaMode.FROZEN_MIDPOINT)
+cfg = SchemeConfig(params=DEMO_PARAMS, gamma_mode="frozen-midpoint")
 snapshots = [k + 0.01 for k in range(1, 9)]
 
-result = run_cn(ic, cfg, TimeGrid(10.0, 0.01), snapshots)
+result = run(ic, cfg, TimeGrid(10.0, 0.01), snapshots)
 print(f"outcome: {result.outcome}")
 print(f"{'t':>6} {'mass':>10} {'max |u|':>10} {'peak x':>8}")
 for d in result.diagnostics:

@@ -13,11 +13,12 @@ import numpy as np
 
 from kdvlab import (
     Grid1D,
+    SchemeConfig,
     SchemeParams,
     TimeGrid,
     appendix_profile,
     explicit_amplification,
-    run_explicit,
+    run,
 )
 
 params = SchemeParams(dx=0.01, dt=0.01)  # alpha = 1e4
@@ -29,9 +30,9 @@ for theta in np.linspace(0.0, math.pi, 9):
 
 print()
 grid = Grid1D(-20.0, 20.0, 4001)
-result = run_explicit(
+result = run(
     appendix_profile(grid),
-    params,
+    SchemeConfig(params, "explicit"),
     TimeGrid(10.0, 0.01),
     snapshot_times=[1.01],
 )

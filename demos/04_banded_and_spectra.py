@@ -18,9 +18,8 @@ The dense SVD beside each bound shows how close it sits.
 import numpy as np
 
 from kdvlab import (
-    CnConfig,
-    GammaMode,
     Grid1D,
+    SchemeConfig,
     WaveField,
     appendix_profile,
     factor_banded,
@@ -34,7 +33,7 @@ from kdvlab.crank_nicolson import EIGEN_PROBE_PARAMS, assemble_lagged
 # assemble the alpha = 1000, beta = 1 probe instance on a constant state
 grid = Grid1D(-20.0, 20.0, 204)
 field = WaveField(grid, 0.0, np.full(204, 0.4))
-cfg = CnConfig(params=EIGEN_PROBE_PARAMS, gamma_mode=GammaMode.FROZEN_MIDPOINT)
+cfg = SchemeConfig(params=EIGEN_PROBE_PARAMS, gamma_mode="frozen-midpoint")
 A, _ = assemble_lagged(field, cfg)
 print(f"A: n = {A.n}, bands ({A.sub2[0]:.1f}, {A.sub1[0]:.2f}, 1, {A.sup1[0]:.2f}, {A.sup2[0]:.1f})")
 
@@ -51,7 +50,7 @@ print(
 )
 
 # the same probe instance with the coefficient varying row by row
-varying = CnConfig(params=EIGEN_PROBE_PARAMS, gamma_mode=GammaMode.ROW_VARYING)
+varying = SchemeConfig(params=EIGEN_PROBE_PARAMS, gamma_mode="row-varying")
 A_varying, _ = assemble_lagged(appendix_profile(grid), varying)
 for label, M in (("frozen", A), ("row-varying", A_varying)):
     dense = np.linalg.svd(M.to_dense(), compute_uv=False)[0]

@@ -29,13 +29,11 @@ from .banded import (
     symbol_bound,
 )
 from .crank_nicolson import (
-    CnConfig,
-    GammaMode,
-    LinearizationKind,
+    SchemeConfig,
     assemble_implicit,
     assemble_lagged,
-    cn_step,
-    run_cn,
+    run,
+    step,
 )
 from .errors import (
     BlowUpError,
@@ -46,7 +44,6 @@ from .errors import (
     SingularMatrixError,
 )
 from .evolution import RunResult, SnapshotDiagnostics, peak_abscissa
-from .explicit import explicit_step, run_explicit
 from .model import (
     Grid1D,
     SchemeParams,

@@ -30,9 +30,8 @@ from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
-from .crank_nicolson import CnConfig, GammaMode, cn_step
+from .crank_nicolson import SchemeConfig, step
 from .errors import OracleError
-from .explicit import explicit_step
 from .model import Grid1D, SchemeParams, WaveField, pde_residual_pointwise
 from .record import Frozen
 
@@ -226,11 +225,11 @@ def truncation_error(
     """One-step defect of a scheme against a manufactured closed form.
 
     Samples ``manufactured`` on the window grid at ``t0``, advances one
-    discrete step, and compares with the exact samples at ``t0 + dt``
-    corrected by the function's own KdV residual (so a function that
-    does not satisfy the equation is still a valid probe).  Returns the
-    sup norm of the interior defect divided by dt; for a consistent
-    scheme this shrinks as the steps are refined.
+    discrete step (``cn-lagged`` row-varying), and compares with the
+    exact samples at ``t0 + dt`` corrected by the function's own KdV
+    residual (so a function that does not satisfy the equation is still
+    a valid probe).  Returns the sup norm of the interior defect divided
+    by dt; for a consistent scheme this shrinks as the steps are refined.
 
     The window must be wide enough that the function is negligible at
     the boundary: the discrete step pins boundary cells to zero.  The
@@ -247,12 +246,7 @@ def truncation_error(
     samples0 = np.asarray(manufactured(x, t0), dtype=float)
     if not np.all(np.isfinite(samples0)):
         raise OracleError("manufactured function produced non-finite samples")
-    field0 = WaveField(window, t0, samples0)
-
-    if scheme == SCHEME_EXPLICIT:
-        stepped = explicit_step(field0, params)
-    else:
-        stepped, _ = cn_step(field0, CnConfig(params, gamma_mode=GammaMode.ROW_VARYING))
+    stepped, _ = step(WaveField(window, t0, samples0), SchemeConfig(params, scheme))
 
     exact1 = np.asarray(manufactured(x, t0 + dt), dtype=float)
     residual = pde_residual_pointwise(manufactured, x, t0, oracle_step)

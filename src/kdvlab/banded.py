@@ -397,7 +397,8 @@ def power_iteration(P: Pentadiagonal, b0, tol: float = 1e-10, max_iters: int = 1
     next iterate ``y / ||y||`` and, for the last ``b``, the residual.
     Stops when successive Rayleigh quotients differ by less than ``tol``
     (vector stabilisation would never settle for negative dominant
-    eigenvalues) or after ``max_iters``.  Convergence additionally
+    eigenvalues), at the first quotient that is not finite (unconverged)
+    or after ``max_iters``.  Convergence additionally
     requires the eigen-residual to be below sqrt(tol) relative to the
     estimate; see :class:`PowerIterationReport`.  On an identity-plus-skew
     P the quotient is 1 for every b, so the probe stops after one iterate.
@@ -427,7 +428,7 @@ def power_iteration(P: Pentadiagonal, b0, tol: float = 1e-10, max_iters: int = 1
         rho_next = float(b @ y)
         stabilized = abs(rho_next - rho) < tol
         rho = rho_next
-        if stabilized:
+        if stabilized or not math.isfinite(rho):  # a nan quotient never stabilizes
             break
     residual = float(np.linalg.norm(y - rho * b) / np.linalg.norm(b))
     converged = bool(stabilized and residual <= np.sqrt(tol) * (1.0 + abs(rho)))

@@ -38,10 +38,9 @@ from .config import (
     parse_eigen_config,
     parse_scan_config,
 )
-from .crank_nicolson import assemble_lagged, run_cn
+from .crank_nicolson import assemble_lagged, run
 from .errors import ConfigError, KdvLabError
 from .evolution import OUTCOME_BLOW_UP, OUTCOME_COMPLETED, OUTCOME_SOLVER_FAILURE, RunResult
-from .explicit import run_explicit
 from .runio import _fmt, write_run_outputs
 
 __all__ = [
@@ -64,11 +63,7 @@ EXIT_CODES = {OUTCOME_COMPLETED: EXIT_OK, OUTCOME_BLOW_UP: EXIT_BLOW_UP,
 
 def execute_run(cfg: RunConfig) -> RunResult:
     """Run the configured scheme and return the result (no file output)."""
-    ic = cfg.initial_field()
-    time = cfg.time_grid()
-    if cfg.scheme == "explicit":
-        return run_explicit(ic, cfg.scheme_params(), time, cfg.snapshot_times)
-    return run_cn(ic, cfg.cn_config(), time, cfg.snapshot_times)
+    return run(cfg.initial_field(), cfg.scheme_config(), cfg.time_grid(), cfg.snapshot_times)
 
 
 def cmd_run(cfg: RunConfig) -> int:
@@ -124,7 +119,7 @@ def cmd_eigen(cfg: EigenConfig, out=None) -> int:
     """
     out = sys.stdout if out is None else out
     ic = cfg.initial_field()
-    A, _ = assemble_lagged(ic, cfg.cn_config())
+    A, _ = assemble_lagged(ic, cfg.scheme_config())
     header = (
         "kdvlab eigen probe\n"
         f"matrix: lagged-coefficient interior A at t = 0 ({cfg.gamma_mode})\n"

@@ -20,7 +20,7 @@ from types import MappingProxyType
 from typing import Callable, Dict, Iterable, Optional, Tuple
 
 from .analysis import scan_ratios
-from .crank_nicolson import CnConfig, GammaMode, LinearizationKind
+from .crank_nicolson import SchemeConfig, check_cn_grid, check_scheme
 from .errors import ConfigError
 from .evolution import snapshot_requests
 from .model import (
@@ -47,8 +47,6 @@ __all__ = [
     "parse_converge_config",
 ]
 
-SCHEMES = ("explicit", "cn-lagged", "cn-implicit")
-GAMMA_MODES = tuple(m.value for m in GammaMode)
 IC_KINDS = ("appendix", "paper-eq2", "traveling", "file")
 REFINE_MODES = ("time", "space", "both")
 
@@ -82,15 +80,7 @@ class RunConfig(_Config):
     ))
 
     def validate(self) -> None:
-        if self.scheme not in SCHEMES:
-            raise ConfigError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
-        if self.gamma_mode not in GAMMA_MODES:
-            raise ConfigError(
-                f"gamma_mode must be one of {GAMMA_MODES}, got {self.gamma_mode!r}"
-            )
-        if self.scheme == "explicit" and self.paper_normalization:
-            raise ConfigError("paper_normalization = on needs a cn scheme: "
-                              "scheme = explicit never normalizes")
+        check_scheme(self.scheme, self.gamma_mode, self.paper_normalization)
         kind, value = self.ic
         if kind not in IC_KINDS:
             raise ConfigError(f"ic must be one of {IC_KINDS}, got {kind!r}")
@@ -100,10 +90,14 @@ class RunConfig(_Config):
             raise ConfigError(f"ic appendix takes no parameter, got {value!r}")
         if kind == "file" and not value:
             raise ConfigError("ic file needs a path")
-        # the grid, the time levels and the snapshot rule check themselves
+        # the grid, the time levels, the snapshot rule, the mesh ratios and
+        # the cn grid rule check themselves
         try:
             self.grid()
             snapshot_requests(self.snapshot_times, self.time_grid())
+            self.scheme_params()
+            if self.scheme != "explicit":
+                check_cn_grid(self.nx)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
 
@@ -127,18 +121,9 @@ class RunConfig(_Config):
             return traveling_wave(grid, float(value), 0.0)
         return read_field_csv(Path(str(value)), grid)
 
-    def cn_config(self) -> CnConfig:
-        linearization = (
-            LinearizationKind.IMPLICIT_COEFFICIENT
-            if self.scheme == "cn-implicit"
-            else LinearizationKind.LAGGED_COEFFICIENT
-        )
-        return CnConfig(
-            params=self.scheme_params(),
-            linearization=linearization,
-            gamma_mode=GammaMode(self.gamma_mode),
-            paper_normalization=self.paper_normalization,
-        )
+    def scheme_config(self) -> SchemeConfig:
+        return SchemeConfig(self.scheme_params(), self.scheme, self.gamma_mode,
+                            self.paper_normalization)
 
     def echo_lines(self) -> list:
         """Echo of the command's keys as deterministic ``key = value`` lines, in table order."""

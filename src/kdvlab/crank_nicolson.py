@@ -1,50 +1,65 @@
-"""Crank-Nicolson solvers for the KdV equation, and the one spatial
-operator behind every scheme.
+"""The KdV schemes: one spatial operator, stepped explicitly or by Crank-Nicolson.
 
 :func:`_weights` gives the operator at an advective coefficient c: u_xxx
 and c u_x by centered differences, row weights
 gamma_i = alpha/2 + (3 beta/8) c_i and outer weight alpha/4.  Row i of A
 has bands (-alpha/4, +gamma_i, 1, -gamma_i, +alpha/4), and B = 2I - A.
-This is the theta = 1/2 member of a theta-scheme;
-:func:`~kdvlab.explicit.explicit_step` is its theta = 0 member, B at
-twice the weights.  The CN variants differ only in c, and one step,
-:func:`cn_step`, serves both: the lagged scheme takes c = u^n (one
-solve); the implicit scheme takes c = (u^n + g)/2 and resolves g by a
-fixed-point iteration from g = u^n, one solve per iterate.  Row-varying,
-a step factors A(u^n) once and each iterate back-substitutes against it
-(a chord iteration); frozen, each iterate factors its own A.
+One step, :func:`step`, serves every scheme of :data:`SCHEMES`, and one
+run, :func:`run`, marches it.
+
+``explicit`` is the theta = 0 member of the theta-scheme: B at twice the
+weights, at c = u^n per row, applied to the whole field.  On interior
+points it reads
+
+    u_i(t+dt) = u_i [1 + (3 dt / 4 dx)(u_{i+1} - u_{i-1})]
+                - (dt / 2 dx^3)(u_{i+2} - 2 u_{i+1} + 2 u_{i-1} - u_{i-2}),
+
+summed in B's order; the two outermost cells at each end stay pinned to
+zero.  It amplifies every Fourier mode (see
+:func:`kdvlab.analysis.explicit_amplification`), so its runs end in the
+blow-up that :func:`~kdvlab.evolution.next_state` detects, at the step
+where the amplitude threshold was crossed.
+
+Crank-Nicolson is the theta = 1/2 member, and its two variants differ
+only in c: ``cn-lagged`` takes c = u^n (one solve); ``cn-implicit``
+takes c = (u^n + g)/2 and resolves g by a fixed-point iteration from
+g = u^n, one solve per iterate.  Row-varying, a step factors A(u^n) once
+and each iterate back-substitutes against it (a chord iteration);
+frozen, each iterate factors its own A.
 
 ``gamma_mode`` varies c per row or freezes it at its domain-midpoint
-value.  Frozen, A = I + K with K exactly skew-symmetric, so each solve
-applies a Cayley transform: an orthogonal map that cannot amplify the
-interior solution.
+value; it acts on the cn schemes only.  Frozen, A = I + K with K exactly
+skew-symmetric, so each solve applies a Cayley transform: an orthogonal
+map that cannot amplify the interior solution.
 
 Two interior cells per end are pinned to zero (the dispersion stencil
-reaches two neighbours out), so the interior system has nx - 4 unknowns.
+reaches two neighbours out), so the interior system of a cn step has
+nx - 4 unknowns.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from typing import Sequence, Tuple
 
 import numpy as np
 
 from .banded import Pentadiagonal, factor_banded
-from .errors import BlowUpError, FixedPointError
+from .errors import BlowUpError, ConfigError, FixedPointError
 from .evolution import RunResult, evolve, next_state
 from .model import SchemeParams, TimeGrid, WaveField
 from .record import Frozen
 
 __all__ = [
-    "LinearizationKind",
-    "GammaMode",
-    "CnConfig",
+    "SCHEMES",
+    "GAMMA_MODES",
+    "check_scheme",
+    "check_cn_grid",
+    "SchemeConfig",
     "assemble_lagged",
     "assemble_implicit",
-    "cn_step",
-    "run_cn",
+    "step",
+    "run",
     "DEMO_PARAMS",
     "EIGEN_PROBE_PARAMS",
     "PICARD_TOL",
@@ -52,19 +67,8 @@ __all__ = [
 ]
 
 
-class LinearizationKind(enum.Enum):
-    """How the advective coefficient in u u_x is treated."""
-
-    LAGGED_COEFFICIENT = "lagged"
-    IMPLICIT_COEFFICIENT = "implicit"
-
-
-class GammaMode(enum.Enum):
-    """Row weighting of the advective coefficient: per row, or frozen at the domain midpoint."""
-
-    ROW_VARYING = "row-varying"
-    FROZEN_MIDPOINT = "frozen-midpoint"
-
+SCHEMES = ("explicit", "cn-lagged", "cn-implicit")
+GAMMA_MODES = ("row-varying", "frozen-midpoint")
 
 # Step sizes of the reference demo pipeline (dx = dt = 0.01, so
 # alpha = 1e4, beta = 1).
@@ -80,27 +84,45 @@ PICARD_TOL = 1e-10
 PICARD_MAX_ITERS = 50
 
 
-class CnConfig(Frozen):
-    """Solver configuration for the Crank-Nicolson schemes.
+def check_scheme(scheme: str, gamma_mode: str, paper_normalization: bool) -> None:
+    """Raise :class:`ConfigError` unless the scheme, its gamma mode and normalization go together."""
+    if scheme not in SCHEMES:
+        raise ConfigError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
+    if gamma_mode not in GAMMA_MODES:
+        raise ConfigError(f"gamma_mode must be one of {GAMMA_MODES}, got {gamma_mode!r}")
+    if scheme == "explicit" and paper_normalization:
+        raise ConfigError("paper_normalization = on needs a cn scheme: "
+                          "scheme = explicit never normalizes")
 
-    ``paper_normalization`` divides the solved interior state by its max
-    absolute value after every step.  That reproduces a legacy demo
-    pipeline's plots but changes the equation being solved, so it is off
-    by default and should stay an explicit choice.
+
+def check_cn_grid(nx: int) -> None:
+    """Raise ValueError unless a cn step on ``nx`` points has at least 5 interior unknowns."""
+    if nx < 9:
+        raise ValueError(f"grid too small for the implicit interior system: nx={nx} "
+                         "gives fewer than 5 unknowns")
+
+
+class SchemeConfig(Frozen):
+    """One scheme of :data:`SCHEMES`, in the words of a run's config keys.
+
+    ``gamma_mode`` acts on the cn schemes only: the explicit step always
+    weights each row by its own u.  ``paper_normalization`` divides the
+    solved interior state of a cn step by its max absolute value after
+    every step.  That reproduces a legacy demo pipeline's plots but
+    changes the equation being solved, so it is off by default and should
+    stay an explicit choice.
     """
 
-    def __init__(self, params: SchemeParams,
-                 linearization: LinearizationKind = LinearizationKind.LAGGED_COEFFICIENT,
-                 gamma_mode: GammaMode = GammaMode.ROW_VARYING, paper_normalization: bool = False):
-        self.__dict__.update(params=params, linearization=linearization, gamma_mode=gamma_mode,
+    def __init__(self, params: SchemeParams, scheme: str = "cn-lagged",
+                 gamma_mode: str = "row-varying", paper_normalization: bool = False):
+        check_scheme(scheme, gamma_mode, paper_normalization)
+        self.__dict__.update(params=params, scheme=scheme, gamma_mode=gamma_mode,
                              paper_normalization=paper_normalization)
 
 
 def _interior(u: WaveField) -> np.ndarray:
     """The nx - 4 interior unknowns of ``u``, once they number at least 5."""
-    if u.grid.nx < 9:
-        raise ValueError(f"grid too small for the implicit interior system: nx={u.grid.nx} "
-                         "gives fewer than 5 unknowns")
+    check_cn_grid(u.grid.nx)
     return u.values[2:-2]
 
 
@@ -109,9 +131,9 @@ def _weights(coef, alpha: float, beta: float):
     return alpha / 2.0 + (3.0 * beta / 8.0) * coef, alpha / 4.0
 
 
-def _cn_weights(coef: np.ndarray, cfg: CnConfig):
+def _cn_weights(coef: np.ndarray, cfg: SchemeConfig):
     """:func:`_weights` at the interior coefficient c, per row or frozen at its midpoint."""
-    if cfg.gamma_mode is GammaMode.FROZEN_MIDPOINT:
+    if cfg.gamma_mode == "frozen-midpoint":
         coef = np.full(coef.size, coef[(coef.size - 1) // 2])  # interior index of x[(nx-1)//2]
     return _weights(coef, cfg.params.alpha, cfg.params.beta)
 
@@ -145,19 +167,19 @@ def _rhs(x: np.ndarray, gamma: np.ndarray, quarter: float) -> np.ndarray:
     return y
 
 
-def _matrices(coef: np.ndarray, cfg: CnConfig) -> Tuple[Pentadiagonal, Pentadiagonal]:
+def _matrices(coef: np.ndarray, cfg: SchemeConfig) -> Tuple[Pentadiagonal, Pentadiagonal]:
     """(A, B) at the interior coefficient ``coef``: B negates A's off-diagonal bands."""
     gamma, quarter = _cn_weights(coef, cfg)
     return _lhs(gamma, quarter), _lhs(-gamma, -quarter)
 
 
-def assemble_lagged(u_n: WaveField, cfg: CnConfig) -> Tuple[Pentadiagonal, Pentadiagonal]:
+def assemble_lagged(u_n: WaveField, cfg: SchemeConfig) -> Tuple[Pentadiagonal, Pentadiagonal]:
     """Interior (A, B) of the lagged-coefficient scheme, at c = u^n; the step builds only A."""
     return _matrices(_interior(u_n), cfg)
 
 
 def assemble_implicit(
-    u_n: WaveField, u_guess: WaveField, cfg: CnConfig
+    u_n: WaveField, u_guess: WaveField, cfg: SchemeConfig
 ) -> Tuple[Pentadiagonal, Pentadiagonal]:
     """Interior (A, B) of one Picard iterate: :func:`assemble_lagged`'s at c = (u^n + guess)/2."""
     if u_guess.grid != u_n.grid:
@@ -165,7 +187,7 @@ def assemble_implicit(
     return _matrices(_midpoint(_interior(u_n), u_guess.values[2:-2]), cfg)
 
 
-def _finish_step(u_n: WaveField, interior: np.ndarray, cfg: CnConfig) -> WaveField:
+def _finish_step(u_n: WaveField, interior: np.ndarray, cfg: SchemeConfig) -> WaveField:
     """Apply optional normalization, re-pin the boundaries, and check for blow-up."""
     if cfg.paper_normalization:
         scale = np.max(np.abs(interior))
@@ -184,14 +206,19 @@ def _centered_difference(x: np.ndarray) -> np.ndarray:
     return d
 
 
-def cn_step(u_n: WaveField, cfg: CnConfig) -> Tuple[WaveField, int]:
-    """One step of ``cfg.linearization``: (field, solves).
+def step(u_n: WaveField, cfg: SchemeConfig) -> Tuple[WaveField, int]:
+    """One step of ``cfg.scheme``: (field, solves).
 
-    Solves A_0 x = B u^n at c = u^n, A_0 = A(u^n); the lagged step stops
-    there, after 1 solve.  The implicit step iterates on from that x_1 to
-    the fixed point x = A(c)^-1 B(c) u^n at c = (u^n + x)/2, until an
-    iterate changes by less than :data:`PICARD_TOL` in the sup norm, and
-    counts its iterates, each one solve.
+    ``explicit`` applies B at twice the weights to the whole field, so that
+    rows 2, 3, nx-4 and nx-3 read the two outer cells per end, which an
+    initial state need not hold at zero; it makes 0 solves.
+
+    The cn schemes solve A_0 x = B u^n at c = u^n, A_0 = A(u^n);
+    ``cn-lagged`` stops there, after 1 solve.  ``cn-implicit`` iterates on
+    from that x_1 to the fixed point x = A(c)^-1 B(c) u^n at
+    c = (u^n + x)/2, until an iterate changes by less than
+    :data:`PICARD_TOL` in the sup norm, and counts its iterates, each one
+    solve.
 
     Row-varying, each iterate solves A_0 x_{k+1} = B(c_k) u^n - (A(c_k) - A_0) x_k
     against the one factorization, with c_k = (u^n + x_k)/2: a chord
@@ -202,18 +229,24 @@ def cn_step(u_n: WaveField, cfg: CnConfig) -> Tuple[WaveField, int]:
     exact Cayley transform of u^n: with the splitting form's correction,
     sum u^2 drifted 1.04e-12 relative in 30 steps (nx 43, dt 0.0625).
     """
+    if cfg.scheme == "explicit":
+        v = u_n.values
+        gamma, quarter = _weights(v, cfg.params.alpha, cfg.params.beta)
+        new = np.zeros(u_n.grid.nx)
+        new[2:-2] = _rhs(v, 2.0 * gamma, 2.0 * quarter)[2:-2]  # an overflow is a blow-up
+        return next_state(u_n, new, cfg.params.dt), 0
     known = guess = _interior(u_n)
     gamma0, quarter = _cn_weights(known, cfg)
     rhs = _rhs(known, gamma0, quarter)  # an overflow is a blow-up before any factorization
     solve = factor_banded(_lhs(gamma0, quarter))
     interior = solve(rhs)
-    if cfg.linearization is LinearizationKind.LAGGED_COEFFICIENT:
+    if cfg.scheme == "cn-lagged":
         return _finish_step(u_n, interior, cfg), 1
     for iteration in range(1, PICARD_MAX_ITERS + 1):
         if iteration > 1:
             gamma, _ = _cn_weights(_midpoint(known, guess), cfg)
             rhs = _rhs(known, gamma, quarter)
-            if cfg.gamma_mode is GammaMode.FROZEN_MIDPOINT:
+            if cfg.gamma_mode == "frozen-midpoint":
                 solve = factor_banded(_lhs(gamma, quarter))
             else:
                 rhs -= (gamma - gamma0) * _centered_difference(guess)
@@ -232,25 +265,26 @@ def cn_step(u_n: WaveField, cfg: CnConfig) -> Tuple[WaveField, int]:
     )
 
 
-def run_cn(
+def run(
     ic: WaveField,
-    cfg: CnConfig,
+    cfg: SchemeConfig,
     time: TimeGrid,
     snapshot_times: Sequence[float],
 ) -> RunResult:
     """Time-march the configured scheme, recording snapshots (and Picard solves if implicit).
 
-    Every outcome is returned as :func:`~kdvlab.evolution.evolve` gives it, a
-    solver failure too; ``picard_solves`` counts the steps completed before it.
+    Every outcome is returned as :func:`~kdvlab.evolution.evolve` gives it:
+    completed, a blow-up with its step, or a cn solver failure with its
+    step; ``picard_solves`` counts the steps completed before it.
     """
     solves = []
 
-    def step(state: WaveField) -> WaveField:
-        field, count = cn_step(state, cfg)
+    def advance(state: WaveField) -> WaveField:
+        field, count = step(state, cfg)
         solves.append(count)
         return field
 
-    result = evolve(ic, time, snapshot_times, step)
-    if cfg.linearization is LinearizationKind.IMPLICIT_COEFFICIENT:
+    result = evolve(ic, time, snapshot_times, advance)
+    if cfg.scheme == "cn-implicit":
         result.picard_solves = tuple(solves)
     return result

@@ -117,12 +117,19 @@ class SchemeParams(Frozen):
 
     ``alpha = dt/dx^3`` weights the dispersive term, ``beta = dt/dx``
     the advective one.  Both are recomputed from the stored steps so the
-    relationship is exact by construction.
+    relationship is exact by construction, and both must be finite.
     """
 
     def __init__(self, dx: float, dt: float):
         if dx <= 0 or dt <= 0:
             raise ValueError(f"dx and dt must be positive, got dx={dx}, dt={dt}")
+        try:
+            finite = math.isfinite(dt / dx**3) and math.isfinite(dt / dx)
+        except ArithmeticError:  # dx**3 out of range, or 0
+            finite = False
+        if not finite:
+            raise ValueError(f"mesh ratios alpha = dt/dx^3 and beta = dt/dx are out of range "
+                             f"for dx={dx}, dt={dt}")
         self.__dict__.update(dx=dx, dt=dt)
 
     @property

@@ -20,7 +20,7 @@ from kdvlab.banded import (
     skew_deviation,
 )
 from kdvlab.cli import main
-from kdvlab.crank_nicolson import CnConfig, GammaMode, assemble_lagged, run_cn
+from kdvlab.crank_nicolson import SchemeConfig, assemble_lagged, run
 from kdvlab.evolution import peak_abscissa
 from kdvlab.model import (
     Grid1D,
@@ -129,9 +129,9 @@ def test_criterion_04_identity_plus_skew_certificate():
         grid = Grid1D(-20.0, 20.0, 54)
         field = WaveField(grid, 0.0, np.full(54, u0))
         dx = math.sqrt(beta / alpha)
-        cfg = CnConfig(
+        cfg = SchemeConfig(
             params=SchemeParams(dx=dx, dt=beta * dx),
-            gamma_mode=GammaMode.FROZEN_MIDPOINT,
+            gamma_mode="frozen-midpoint",
         )
         A, _ = assemble_lagged(field, cfg)
         assert skew_deviation(A) == 0.0
@@ -164,8 +164,8 @@ def test_criterion_06_cn_soliton_tracking():
     # peak tracking on the stated domain and resolution
     grid = Grid1D(-10.0, 14.0, 961)  # dx = 0.025
     ic = traveling_wave(grid, 0.25, 0.0)
-    cfg = CnConfig(params=SchemeParams(dx=grid.dx, dt=0.0025), gamma_mode=GammaMode.ROW_VARYING)
-    res = run_cn(ic, cfg, TimeGrid(4.0, 0.0025), [4.0])
+    cfg = SchemeConfig(params=SchemeParams(dx=grid.dx, dt=0.0025), gamma_mode="row-varying")
+    res = run(ic, cfg, TimeGrid(4.0, 0.0025), [4.0])
     assert res.completed
     peak = peak_abscissa(res.snapshots[-1])
     assert peak == pytest.approx(1.0, abs=0.15)
@@ -177,8 +177,8 @@ def test_criterion_06_cn_soliton_tracking():
         nx = int(round(72.0 / dx)) + 1
         g = Grid1D(-34.0, 38.0, nx)
         f0 = traveling_wave(g, 0.25, 0.0)
-        c = CnConfig(params=SchemeParams(dx=g.dx, dt=dt), gamma_mode=GammaMode.ROW_VARYING)
-        r = run_cn(f0, c, TimeGrid(4.0, dt), [4.0])
+        c = SchemeConfig(params=SchemeParams(dx=g.dx, dt=dt), gamma_mode="row-varying")
+        r = run(f0, c, TimeGrid(4.0, dt), [4.0])
         assert r.completed
         return abs(mass(r.snapshots[-1]) - mass(f0)) / abs(mass(f0))
 

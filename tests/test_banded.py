@@ -517,6 +517,16 @@ def test_power_iteration_fails_honestly_on_skew_spectrum():
     assert (not rep.converged) or rep.residual > 1e-2
 
 
+def test_power_iteration_stops_at_a_nan_quotient():
+    # nan - rho < tol is never true, so only the finiteness check stops the loop
+    sup1 = np.zeros(9)
+    sup1[4] = np.nan
+    P = Pentadiagonal(np.zeros(8), np.zeros(9), np.ones(10), sup1, np.zeros(8))
+    rep = power_iteration(P, np.ones(10), tol=1e-10, max_iters=10_000)
+    assert rep.iterations == 1 and not rep.converged
+    assert math.isnan(rep.estimate) and math.isnan(rep.residual)
+
+
 def test_power_iteration_matches_gram_on_spd():
     # on a symmetric positive definite S the dominant eigenvalue is sigma_max,
     # the square root of the dense Gram matrix's largest eigenvalue
@@ -591,7 +601,7 @@ def _default_lagged(nx, gamma_mode="frozen-midpoint"):
     """The eigen command's matrix: lagged A from the default initial state."""
     cfg = parse_eigen_config(f"nx = {nx}\ngamma_mode = {gamma_mode}")
     u = cfg.initial_field()
-    A, _ = assemble_lagged(u, cfg.cn_config())
+    A, _ = assemble_lagged(u, cfg.scheme_config())
     return A, u, cfg
 
 
@@ -639,7 +649,7 @@ def test_symbol_bound_of_the_identity_is_one():
 
 def test_symbol_bound_covers_matrices_that_are_not_constant_identity_plus_skew():
     A, u, cfg = _default_lagged(54, "row-varying")
-    A_implicit, _ = assemble_implicit(u, u, cfg.cn_config())
+    A_implicit, _ = assemble_implicit(u, u, cfg.scheme_config())
     P = skew_penta(500.0, 250.0, 50)
     symmetric = Pentadiagonal(P.sup2, P.sup1, P.diag, P.sup1, P.sup2)  # constant, not I + K
     matrices = [A, A_implicit, symmetric]

@@ -563,7 +563,7 @@ EIGEN_GOLDEN = {
 @pytest.mark.parametrize("gamma_mode", sorted(EIGEN_GOLDEN))
 def test_eigen_report_golden(gamma_mode):
     cfg = parse_eigen_config(f"nx = 54\ngamma_mode = {gamma_mode}")
-    A, _ = assemble_lagged(cfg.initial_field(), cfg.cn_config())
+    A, _ = assemble_lagged(cfg.initial_field(), cfg.scheme_config())
     assert eigen_report_text(A) == EIGEN_GOLDEN[gamma_mode]
 
 
@@ -907,3 +907,76 @@ def test_cli_import_builds_no_dataclasses():
     assert {"Grid1D", "WaveField", "RunConfig", "ScanRow", "CertificateReport"} <= {
         c.__name__ for c in classes}
     assert [c.__name__ for c in classes if dataclasses.is_dataclass(c)] == []
+
+
+# ---------------------------------------------------------------------------
+# goldens: the CLI's bytes on small runs and on refused inputs
+# ---------------------------------------------------------------------------
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+# 4 steps at nx 61, with a snapshot at each end
+GOLDEN_RUN = ["run", "--nx", "61", "--dt", "0.01", "--t_end", "0.04",
+              "--snapshot_times", "0,0.04", "--output_dir", "out"]
+GOLDEN_RUNS = {f"run_{scheme}_{mode}": ["--scheme", scheme, "--gamma_mode", mode]
+               for scheme in ("explicit", "cn-lagged", "cn-implicit")
+               for mode in ("row-varying", "frozen-midpoint")}
+GOLDEN_RUNS["run_paper_normalization"] = ["--paper_normalization", "on"]
+
+REFUSED = [
+    ["run", "--scheme", "bogus"],
+    ["run", "--gamma_mode", "bogus"],
+    ["run", "--scheme", "explicit", "--paper_normalization", "on"],
+    ["run", "--scheme", "bogus", "--nx", "3"],
+    ["run", "--scheme", "bogus", "--dt", "-1"],
+    ["run", "--dt", "-1"],
+    ["eigen", "--nx", "8"],
+]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
+def test_run_meta_matches_its_golden(name, tmp_path, monkeypatch):
+    # the golden's backend line reads "{backend}": the solve backend is the host's
+    monkeypatch.chdir(tmp_path)
+    assert main(GOLDEN_RUN + GOLDEN_RUNS[name]) == 0
+    golden = (GOLDEN / f"{name}.meta").read_text(encoding="utf-8")
+    meta = (tmp_path / "out" / "run.meta").read_text(encoding="utf-8")
+    assert meta == golden.replace("{backend}", banded.solve_backend())
+
+
+def test_refused_inputs_match_their_golden(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    err = []
+    for argv in REFUSED:
+        assert main(argv) == 1, argv
+        err.append(capsys.readouterr().err)
+    assert "".join(err) == (GOLDEN / "refused.stderr").read_text(encoding="utf-8")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_mesh_ratios_out_of_range_are_a_config_error(capsys):
+    # alpha = 1e307 / 0.1**3 overflows: one line on stderr, no warning, nothing run
+    argv = ["eigen", "--dt", "1e307", "--ic", "traveling 1", "--gamma_mode", "row-varying",
+            "--nx", "401"]
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", "kdvlab eigen: error: mesh ratios alpha = dt/dx^3 and "
+                                       "beta = dt/dx are out of range for dx=0.1, dt=1e+307\n")
+    with pytest.raises(ConfigError, match="are out of range"):
+        parse_config("dt = 1e307\nt_end = 1e307\nnx = 401\nsnapshot_times = 0")
+
+
+@pytest.mark.parametrize("command", ["run", "converge"])
+def test_cn_schemes_refuse_fewer_than_nine_points_at_parse_time(tmp_path, capsys, command):
+    # a run that takes no step, as well as one that does, is refused before it starts
+    out = tmp_path / "out"
+    short = ["--dt", "0.01", "--t_end", "0.01", "--output_dir", str(out)]
+    if command == "run":
+        short += ["--snapshot_times", "0"]
+    for scheme in ("cn-lagged", "cn-implicit"):
+        assert main([command, "--scheme", scheme, "--nx", "8", *short]) == 1
+        assert capsys.readouterr().err == (
+            f"kdvlab {command}: error: grid too small for the implicit interior system: "
+            "nx=8 gives fewer than 5 unknowns\n")
+    assert not out.exists()
+    for nx in ("7", "8"):  # the explicit step solves nothing
+        assert main([command, "--scheme", "explicit", "--nx", nx, *short]) == 0

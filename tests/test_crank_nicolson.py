@@ -9,17 +9,16 @@ from kdvlab import crank_nicolson
 from kdvlab.banded import factor_banded, matvec, skew_deviation
 from kdvlab.crank_nicolson import (
     EIGEN_PROBE_PARAMS,
-    CnConfig,
-    GammaMode,
-    LinearizationKind,
+    GAMMA_MODES,
+    SchemeConfig,
     assemble_implicit,
     assemble_lagged,
-    cn_step,
-    run_cn,
+    run,
+    step,
 )
-from kdvlab.errors import FixedPointError
+from kdvlab.config import RunConfig
+from kdvlab.errors import ConfigError, FixedPointError
 from kdvlab.evolution import peak_abscissa
-from kdvlab.explicit import run_explicit
 from kdvlab.model import (
     Grid1D,
     SchemeParams,
@@ -35,14 +34,12 @@ def zero_field(nx=54):
     return WaveField(g, 0.0, np.zeros(nx))
 
 
-def lagged_cfg(params, gamma_mode=GammaMode.ROW_VARYING, **kw):
-    return CnConfig(params=params, gamma_mode=gamma_mode, **kw)
+def lagged_cfg(params, gamma_mode="row-varying", **kw):
+    return SchemeConfig(params=params, gamma_mode=gamma_mode, **kw)
 
 
 def implicit_cfg(params, **kw):
-    return CnConfig(
-        params=params, linearization=LinearizationKind.IMPLICIT_COEFFICIENT, **kw
-    )
+    return SchemeConfig(params=params, scheme="cn-implicit", **kw)
 
 
 # ---------------------------------------------------------------------------
@@ -71,7 +68,7 @@ def test_b_bands_negate_a_bands_exactly():
     rng = np.random.default_rng(41)
     g = Grid1D(-5.0, 5.0, 64)
     f = WaveField(g, 0.0, rng.standard_normal(64))
-    for mode in (GammaMode.ROW_VARYING, GammaMode.FROZEN_MIDPOINT):
+    for mode in GAMMA_MODES:
         A, B = assemble_lagged(f, lagged_cfg(SchemeParams(dx=g.dx, dt=0.01), mode))
         assert np.array_equal(B.sub1, -A.sub1)
         assert np.array_equal(B.sup1, -A.sup1)
@@ -85,7 +82,7 @@ def test_frozen_midpoint_assembly_is_identity_plus_skew():
     g = Grid1D(-5.0, 5.0, 64)
     f = WaveField(g, 0.0, rng.standard_normal(64))
     A, _ = assemble_lagged(
-        f, lagged_cfg(EIGEN_PROBE_PARAMS, GammaMode.FROZEN_MIDPOINT)
+        f, lagged_cfg(EIGEN_PROBE_PARAMS, "frozen-midpoint")
     )
     assert skew_deviation(A) == 0.0  # (A + A^T)/2 == I elementwise
 
@@ -103,7 +100,7 @@ def test_assembly_rejects_tiny_grids():
 
 def test_lagged_step_zero_field():
     f = zero_field()
-    out = cn_step(f, lagged_cfg(EIGEN_PROBE_PARAMS))[0]
+    out = step(f, lagged_cfg(EIGEN_PROBE_PARAMS))[0]
     assert np.array_equal(out.values, np.zeros(54))
 
 
@@ -112,7 +109,7 @@ def test_lagged_step_matches_dense_solve():
     g = Grid1D(0.0, 3.0, 31)
     f = WaveField(g, 0.0, rng.standard_normal(31))
     cfg = lagged_cfg(SchemeParams(dx=g.dx, dt=0.005))
-    out = cn_step(f, cfg)[0]
+    out = step(f, cfg)[0]
     A, B = assemble_lagged(f, cfg)
     dense = np.linalg.solve(A.to_dense(), matvec(B, f.values[2:-2]))
     assert np.max(np.abs(out.values[2:-2] - dense)) <= 1e-10
@@ -125,7 +122,7 @@ def test_lagged_one_step_defect_against_analytic():
     g = Grid1D(-30.0, 30.0, 1201)
     dt = 1e-3
     ic = traveling_wave(g, 0.5, 0.0)
-    out = cn_step(ic, lagged_cfg(SchemeParams(dx=g.dx, dt=dt)))[0]
+    out = step(ic, lagged_cfg(SchemeParams(dx=g.dx, dt=dt)))[0]
     exact = traveling_wave(g, 0.5, dt)
     defect = np.max(np.abs(out.values - exact.values))
     assert defect <= 2e-4 * dt
@@ -136,18 +133,18 @@ def test_lagged_step_is_deterministic():
     g = Grid1D(-5.0, 5.0, 101)
     f = WaveField(g, 0.0, rng.standard_normal(101) * 0.1)
     cfg = lagged_cfg(SchemeParams(dx=g.dx, dt=0.01))
-    assert np.array_equal(cn_step(f, cfg)[0].values, cn_step(f, cfg)[0].values)
+    assert np.array_equal(step(f, cfg)[0].values, step(f, cfg)[0].values)
 
 
 def test_paper_normalization_rescales_interior():
     g = Grid1D(-10.0, 10.0, 101)
     ic = traveling_wave(g, 0.5, 0.0)
     cfg = lagged_cfg(SchemeParams(dx=g.dx, dt=0.01), paper_normalization=True)
-    out = cn_step(ic, cfg)[0]
+    out = step(ic, cfg)[0]
     assert np.max(np.abs(out.values)) == pytest.approx(1.0, abs=1e-14)
     # a zero field must survive normalization untouched
     zeros = WaveField(g, 0.0, np.zeros(101))
-    assert np.array_equal(cn_step(zeros, cfg)[0].values, np.zeros(101))
+    assert np.array_equal(step(zeros, cfg)[0].values, np.zeros(101))
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +169,7 @@ def _dyadic_fields(seed):
 
 def test_implicit_assembly_is_the_lagged_one_at_the_midpoint():
     g, u, guess = _dyadic_fields(45)
-    for mode in GammaMode:
+    for mode in GAMMA_MODES:
         cfg = implicit_cfg(SchemeParams(dx=g.dx, dt=0.01), gamma_mode=mode)
         A, B = assemble_implicit(WaveField(g, 0.0, u), WaveField(g, 0.0, guess), cfg)
         A_mid, B_mid = assemble_lagged(WaveField(g, 0.0, (u + guess) / 2.0), cfg)
@@ -183,14 +180,14 @@ def test_implicit_assembly_is_the_lagged_one_at_the_midpoint():
 
 def test_implicit_diagonal_is_one():
     g, u, guess = _dyadic_fields(46)
-    for mode in GammaMode:
+    for mode in GAMMA_MODES:
         cfg = implicit_cfg(SchemeParams(dx=g.dx, dt=0.01), gamma_mode=mode)
         A, _ = assemble_implicit(WaveField(g, 0.0, u), WaveField(g, 0.0, guess), cfg)
         assert np.all(A.diag == 1.0), mode
 
 
 def test_implicit_zero_field_converges_immediately():
-    out, iterations = cn_step(zero_field(), implicit_cfg(EIGEN_PROBE_PARAMS))
+    out, iterations = step(zero_field(), implicit_cfg(EIGEN_PROBE_PARAMS))
     assert np.array_equal(out.values, np.zeros(54))
     assert iterations == 1
 
@@ -202,8 +199,8 @@ def test_implicit_agrees_with_lagged_for_small_amplitude():
     x = g.points()
     f = WaveField(g, 0.0, 1e-3 * np.exp(-(x**2) / 4.0))
     params = SchemeParams(dx=g.dx, dt=1e-4)
-    lag = cn_step(f, lagged_cfg(params))[0]
-    imp, _ = cn_step(f, implicit_cfg(params))
+    lag = step(f, lagged_cfg(params))[0]
+    imp, _ = step(f, implicit_cfg(params))
     assert np.max(np.abs(lag.values - imp.values)) <= 1e-9
 
 
@@ -212,7 +209,7 @@ def test_implicit_iteration_count_non_increasing_in_dt():
     f = traveling_wave(g, 0.5, 0.0)
     counts = []
     for dt in (1e-2, 1e-3, 1e-4):
-        _, iterations = cn_step(f, implicit_cfg(SchemeParams(dx=g.dx, dt=dt)))
+        _, iterations = step(f, implicit_cfg(SchemeParams(dx=g.dx, dt=dt)))
         counts.append(iterations)
     assert counts[0] >= counts[1] >= counts[2]
     assert counts == [4, 3, 3]  # frozen regression
@@ -224,22 +221,22 @@ def test_implicit_reports_fixed_point_failure(monkeypatch):
     monkeypatch.setattr(crank_nicolson, "PICARD_MAX_ITERS", 1)
     cfg = implicit_cfg(SchemeParams(dx=g.dx, dt=1e-2))
     with pytest.raises(FixedPointError) as err:
-        cn_step(f, cfg)
+        step(f, cfg)
     assert err.value.residual > 0.0
 
 
-@pytest.mark.parametrize("linearization", list(LinearizationKind), ids=lambda kind: kind.value)
+@pytest.mark.parametrize("linearization", ["lagged", "implicit"])
 def test_run_cn_returns_a_singular_solve_as_an_outcome(linearization):
     # every u = 1e150: B u is finite, but A is singular in doubles at the first step
     g = Grid1D(-20.0, 20.0, 201)
     f = WaveField(g, 0.0, np.full(201, 1e150))
-    cfg = CnConfig(params=SchemeParams(dx=g.dx, dt=0.01), linearization=linearization,
-                   gamma_mode=GammaMode.FROZEN_MIDPOINT)
-    result = run_cn(f, cfg, TimeGrid(0.02, 0.01), [0.0, 0.02])
+    cfg = SchemeConfig(params=SchemeParams(dx=g.dx, dt=0.01), scheme=f"cn-{linearization}",
+                       gamma_mode="frozen-midpoint")
+    result = run(f, cfg, TimeGrid(0.02, 0.01), [0.0, 0.02])
     assert (result.outcome, result.failure_step) == ("solver-failure", 1)
     assert result.failure == "zero pivot in banded elimination at row 196"
     assert result.snapshots == [f] and [d.time for d in result.diagnostics] == [0.0]
-    implicit = linearization is LinearizationKind.IMPLICIT_COEFFICIENT
+    implicit = linearization == "implicit"
     assert result.picard_solves == (() if implicit else None)
 
 
@@ -247,8 +244,8 @@ def test_gamma_mode_acts_on_the_implicit_step():
     g = Grid1D(-10.0, 10.0, 201)
     f = traveling_wave(g, 1.0, -2.0)  # peak away from the frozen midpoint x = 0
     params = SchemeParams(dx=g.dx, dt=1e-2)
-    frozen, _ = cn_step(f, implicit_cfg(params, gamma_mode=GammaMode.FROZEN_MIDPOINT))
-    varying, _ = cn_step(f, implicit_cfg(params, gamma_mode=GammaMode.ROW_VARYING))
+    frozen, _ = step(f, implicit_cfg(params, gamma_mode="frozen-midpoint"))
+    varying, _ = step(f, implicit_cfg(params, gamma_mode="row-varying"))
     assert np.max(np.abs(frozen.values - varying.values)) > 1e-3
 
 
@@ -258,9 +255,8 @@ def test_gamma_mode_acts_on_the_implicit_step():
 ])
 def test_row_varying_schemes_track_the_traveling_wave(linearization, bound):
     g = Grid1D(-16.0, 20.0, 1801)
-    cfg = CnConfig(SchemeParams(dx=g.dx, dt=0.005), LinearizationKind(linearization),
-                   GammaMode.ROW_VARYING)
-    res = run_cn(traveling_wave(g, 1.0, 0.0), cfg, TimeGrid(2.0, 0.005), [2.0])
+    cfg = SchemeConfig(SchemeParams(dx=g.dx, dt=0.005), f"cn-{linearization}", "row-varying")
+    res = run(traveling_wave(g, 1.0, 0.0), cfg, TimeGrid(2.0, 0.005), [2.0])
     end = res.snapshots[-1]
     assert np.max(np.abs(end.values - traveling_wave(g, 1.0, 2.0).values)) <= bound
     assert abs(peak_abscissa(end) - 2.0) <= 0.05  # speed v = 1
@@ -280,7 +276,7 @@ def test_implicit_guess_grid_mismatch():
 def test_run_zero_ic_gives_zero_snapshots():
     f = zero_field()
     cfg = lagged_cfg(SchemeParams(dx=f.grid.dx, dt=0.01))
-    res = run_cn(f, cfg, TimeGrid(0.5, 0.01), [0.1, 0.5])
+    res = run(f, cfg, TimeGrid(0.5, 0.01), [0.1, 0.5])
     assert res.completed
     assert all(np.array_equal(s.values, np.zeros(54)) for s in res.snapshots)
 
@@ -291,12 +287,12 @@ def test_demo_pipeline_with_normalization_completes():
     from kdvlab.model import appendix_profile
 
     ic = appendix_profile(g)
-    cfg = CnConfig(
+    cfg = SchemeConfig(
         params=SchemeParams(dx=g.dx, dt=0.01),
-        gamma_mode=GammaMode.FROZEN_MIDPOINT,
+        gamma_mode="frozen-midpoint",
         paper_normalization=True,
     )
-    res = run_cn(ic, cfg, TimeGrid(10.0, 0.01), [k + 0.01 for k in range(1, 9)])
+    res = run(ic, cfg, TimeGrid(10.0, 0.01), [k + 0.01 for k in range(1, 9)])
     assert res.completed
     assert len(res.snapshots) == 8
     assert [f"{s.time:.2f}" for s in res.snapshots] == [
@@ -311,7 +307,7 @@ def test_mass_drift_shrinks_under_refinement():
         g = Grid1D(-22.0, 26.0, nx)
         ic = traveling_wave(g, 0.25, 0.0)
         cfg = lagged_cfg(SchemeParams(dx=g.dx, dt=dt))
-        res = run_cn(ic, cfg, TimeGrid(1.0, dt), [1.0])
+        res = run(ic, cfg, TimeGrid(1.0, dt), [1.0])
         return abs(mass(res.snapshots[-1]) - mass(ic)) / abs(mass(ic))
 
     coarse = drift(0.05, 0.005)
@@ -387,22 +383,22 @@ def _composed_chord(u_n, cfg):
     raise AssertionError("reference chord loop did not converge")
 
 
-@pytest.mark.parametrize("mode", list(GammaMode))
+@pytest.mark.parametrize("mode", GAMMA_MODES)
 def test_lagged_step_is_bitwise_the_composed_assembly(mode):
     for name, values, g in _interiors():
         f = WaveField(g, 0.0, values)
         cfg = lagged_cfg(SchemeParams(dx=g.dx, dt=0.01), mode)
-        assert np.array_equal(cn_step(f, cfg)[0].values, _composed_lagged(f, cfg)), name
+        assert np.array_equal(step(f, cfg)[0].values, _composed_lagged(f, cfg)), name
 
 
 def test_implicit_step_is_bitwise_the_composed_assembly():
     # row-varying: the chord in splitting form; frozen: Picard, one factorization per iterate
-    for mode, composed in ((GammaMode.ROW_VARYING, _composed_chord),
-                           (GammaMode.FROZEN_MIDPOINT, _composed_implicit)):
+    for mode, composed in (("row-varying", _composed_chord),
+                           ("frozen-midpoint", _composed_implicit)):
         for name, values, g in _interiors():
             f = WaveField(g, 0.0, values)
             cfg = implicit_cfg(SchemeParams(dx=g.dx, dt=1e-3), gamma_mode=mode)
-            out, solves = cn_step(f, cfg)
+            out, solves = step(f, cfg)
             expected, iterations = composed(f, cfg)
             assert np.array_equal(out.values, expected), (mode, name)
             assert solves == iterations, (mode, name)
@@ -420,7 +416,7 @@ def test_chord_steps_agree_with_picard(x_min, x_max, nx, dt, t_end, speed):
     chord = picard = traveling_wave(g, speed, 0.0)
     chord_solves = picard_solves = 0
     for _ in range(round(t_end / dt)):
-        chord, solves = cn_step(chord, cfg)
+        chord, solves = step(chord, cfg)
         chord_solves += solves
         values, solves = _composed_implicit(picard, cfg)
         picard = WaveField(g, picard.time + dt, values)
@@ -458,21 +454,21 @@ def _count_solves(monkeypatch):
 def test_lagged_step_builds_one_matrix(monkeypatch):
     g = Grid1D(-20.0, 20.0, 201)
     built = _count(monkeypatch, crank_nicolson, "Pentadiagonal")
-    cn_step(traveling_wave(g, 0.5, 0.0), lagged_cfg(SchemeParams(dx=g.dx, dt=0.01)))
+    step(traveling_wave(g, 0.5, 0.0), lagged_cfg(SchemeParams(dx=g.dx, dt=0.01)))
     assert len(built) == 1
 
 
-@pytest.mark.parametrize("mode", list(GammaMode))
+@pytest.mark.parametrize("mode", GAMMA_MODES)
 def test_lagged_step_is_the_implicit_step_stopped_after_one_iterate(monkeypatch, mode):
     g = Grid1D(-10.0, 10.0, 201)
     f = traveling_wave(g, 0.5, 0.0)
     params = SchemeParams(dx=g.dx, dt=1e-2)
     built = _count(monkeypatch, crank_nicolson, "Pentadiagonal")
     factored, solved = _count_solves(monkeypatch)
-    lagged, solves = cn_step(f, lagged_cfg(params, mode))
+    lagged, solves = step(f, lagged_cfg(params, mode))
     assert (solves, len(built), solved) == (1, 1, [1])
     monkeypatch.setattr(crank_nicolson, "PICARD_TOL", float("inf"))  # stop at the first iterate
-    implicit, iterates = cn_step(f, implicit_cfg(params, gamma_mode=mode))
+    implicit, iterates = step(f, implicit_cfg(params, gamma_mode=mode))
     assert iterates == 1 and len(built) == len(factored) == 2 and solved == [1, 2]
     assert np.array_equal(lagged.values, implicit.values)
     assert lagged.time == implicit.time == 1e-2
@@ -482,12 +478,12 @@ def test_implicit_step_forms_b_u_once_per_iterate(monkeypatch):
     # row-varying: one A and one factorization per step; frozen: one of each per iterate
     g = Grid1D(-10.0, 10.0, 201)
     # 4 is the row-varying count of test_implicit_iteration_count_non_increasing_in_dt
-    for mode, iterates, factorizations in ((GammaMode.ROW_VARYING, 4, 1),
-                                           (GammaMode.FROZEN_MIDPOINT, 3, 3)):
+    for mode, iterates, factorizations in (("row-varying", 4, 1),
+                                           ("frozen-midpoint", 3, 3)):
         products = _count(monkeypatch, crank_nicolson, "_rhs")
         built = _count(monkeypatch, crank_nicolson, "Pentadiagonal")
         factored, solved = _count_solves(monkeypatch)
-        _, solves = cn_step(traveling_wave(g, 0.5, 0.0),
+        _, solves = step(traveling_wave(g, 0.5, 0.0),
                             implicit_cfg(SchemeParams(dx=g.dx, dt=1e-2), gamma_mode=mode))
         assert solves == iterates, mode
         assert len(products) == solves, mode  # B u per iterate, no B
@@ -501,10 +497,10 @@ def test_run_records_each_steps_picard_solves():
     g = Grid1D(-10.0, 10.0, 201)
     ic = traveling_wave(g, 0.5, 0.0)
     cfg = implicit_cfg(SchemeParams(dx=g.dx, dt=0.01))
-    res = run_cn(ic, cfg, TimeGrid(0.1, 0.01), [0.1])
+    res = run(ic, cfg, TimeGrid(0.1, 0.01), [0.1])
     state, expected = ic, []
     for _ in range(10):
-        state, solves = cn_step(state, cfg)
+        state, solves = step(state, cfg)
         expected.append(solves)
     assert res.picard_solves == tuple(expected)
     assert np.array_equal(res.snapshots[-1].values, state.values)
@@ -514,8 +510,8 @@ def test_picard_solves_are_none_for_the_other_schemes():
     g = Grid1D(-10.0, 10.0, 201)
     ic = traveling_wave(g, 0.5, 0.0)
     params = SchemeParams(dx=g.dx, dt=0.01)
-    assert run_cn(ic, lagged_cfg(params), TimeGrid(0.1, 0.01), [0.1]).picard_solves is None
-    explicit = run_explicit(ic, params, TimeGrid(0.1, 0.01), [0.1])
+    assert run(ic, lagged_cfg(params), TimeGrid(0.1, 0.01), [0.1]).picard_solves is None
+    explicit = run(ic, SchemeConfig(params, "explicit"), TimeGrid(0.1, 0.01), [0.1])
     assert explicit.picard_solves is None
 
 
@@ -532,9 +528,21 @@ def test_frozen_midpoint_steps_conserve_l2(nx, dt, seed):
     values = np.zeros(nx)
     values[2:-2] = np.random.default_rng(seed).uniform(-1.0, 1.0, nx - 4)
     l2 = np.sum(values**2)
-    for linearization in LinearizationKind:
+    for scheme in ("cn-lagged", "cn-implicit"):
         state = WaveField(g, 0.0, values)
-        cfg = CnConfig(SchemeParams(dx=g.dx, dt=dt), linearization, GammaMode.FROZEN_MIDPOINT)
+        cfg = SchemeConfig(SchemeParams(dx=g.dx, dt=dt), scheme, "frozen-midpoint")
         for _ in range(30):
-            state, _ = cn_step(state, cfg)
-        assert abs(np.sum(state.values**2) - l2) <= 1e-12 * l2, linearization
+            state, _ = step(state, cfg)
+        assert abs(np.sum(state.values**2) - l2) <= 1e-12 * l2, scheme
+
+
+def test_scheme_config_refuses_what_a_run_config_refuses():
+    params = SchemeParams(dx=0.1, dt=0.01)
+    for scheme, mode, normalize in (("bogus", "row-varying", False),
+                                    ("cn-lagged", "bogus", False),
+                                    ("explicit", "row-varying", True)):
+        with pytest.raises(ConfigError) as built:
+            SchemeConfig(params, scheme, mode, normalize)
+        with pytest.raises(ConfigError) as parsed:
+            RunConfig(scheme=scheme, gamma_mode=mode, paper_normalization=normalize).validate()
+        assert str(built.value) == str(parsed.value)

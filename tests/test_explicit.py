@@ -3,11 +3,10 @@
 import numpy as np
 import pytest
 
-from kdvlab import crank_nicolson, evolution, explicit, model
+from kdvlab import crank_nicolson, evolution, model
 from kdvlab.errors import BlowUpError, FixedPointError, SingularMatrixError
-from kdvlab.crank_nicolson import CnConfig, LinearizationKind, _rhs, _weights, cn_step
+from kdvlab.crank_nicolson import SchemeConfig, _rhs, _weights, run, step
 from kdvlab.evolution import MAX_AMPLITUDE, evolve, next_state
-from kdvlab.explicit import explicit_step, run_explicit
 from kdvlab.model import Grid1D, SchemeParams, TimeGrid, WaveField, appendix_profile
 
 
@@ -44,13 +43,19 @@ def factored_step(values, dt, dx):
 
 
 def make_cfg(dx, dt):
-    return SchemeParams(dx=dx, dt=dt)
+    return SchemeConfig(SchemeParams(dx=dx, dt=dt), "explicit")
+
+
+def explicit_update(u, cfg):
+    field, solves = step(u, cfg)
+    assert solves == 0
+    return field
 
 
 def test_zero_field_stays_zero():
     g = Grid1D(0.0, 1.0, 11)
     f = WaveField(g, 0.0, np.zeros(11))
-    out = explicit_step(f, make_cfg(g.dx, 0.01))
+    out = explicit_update(f, make_cfg(g.dx, 0.01))
     assert np.array_equal(out.values, np.zeros(11))
     assert out.time == 0.01
 
@@ -62,7 +67,7 @@ def test_seven_point_hand_computed_example():
     #   i=4: -(1/2)(0 - 0 + 2 - 0) = -1
     g = Grid1D(0.0, 6.0, 7)
     u = np.array([0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0])
-    out = explicit_step(WaveField(g, 0.0, u), make_cfg(1.0, 1.0))
+    out = explicit_update(WaveField(g, 0.0, u), make_cfg(1.0, 1.0))
     assert np.array_equal(out.values, [0.0, 0.0, 1.0, 1.0, -1.0, 0.0, 0.0])
 
 
@@ -72,7 +77,7 @@ def test_matches_independent_transcription():
     cfg = make_cfg(0.1, 1e-4)
     for _ in range(100):
         u = rng.standard_normal(31)
-        out = explicit_step(WaveField(g, 0.0, u), cfg)
+        out = explicit_update(WaveField(g, 0.0, u), cfg)
         oracle = transcribed_step(u, 1e-4, 0.1)
         assert np.array_equal(out.values, oracle)
         # the factored form rounds in another order: with u = 2**-53, each form
@@ -87,7 +92,7 @@ def test_linear_part_superposition():
     rng = np.random.default_rng(32)
     g = Grid1D(-2.0, 2.0, 41)
     cfg = make_cfg(g.dx, 1e-5)
-    gamma, quarter = _weights(np.zeros(41), cfg.alpha, cfg.beta)
+    gamma, quarter = _weights(np.zeros(41), cfg.params.alpha, cfg.params.beta)
 
     def linear_step(values):
         return _rhs(values, 2.0 * gamma, 2.0 * quarter)[2:-2]
@@ -106,7 +111,7 @@ def test_boundary_cells_stay_pinned():
     cfg = make_cfg(g.dx, 1e-6)
     f = WaveField(g, 0.0, rng.standard_normal(21) * 0.01)
     for _ in range(25):
-        f = explicit_step(f, cfg)
+        f = explicit_update(f, cfg)
         assert f.values[0] == 0.0 and f.values[1] == 0.0
         assert f.values[-1] == 0.0 and f.values[-2] == 0.0
 
@@ -117,7 +122,7 @@ def test_blow_up_raises_with_magnitude():
     g = Grid1D(0.0, 1.0, 11)
     f = WaveField(g, 0.0, np.full(11, 2e6))
     with pytest.raises(BlowUpError) as err:
-        explicit_step(f, make_cfg(g.dx, 1.0))
+        explicit_update(f, make_cfg(g.dx, 1.0))
     assert err.value.max_value == np.max(np.abs(transcribed_step(f.values, 1.0, g.dx)))
     assert str(err.value) == "amplitude threshold 1e+06 exceeded (max |u| = 2e+06)"
 
@@ -128,15 +133,9 @@ def test_every_scheme_blows_up_by_the_one_rule(scheme):
     # iteration settles and every scheme lands just above 2e6
     g = Grid1D(-10.0, 10.0, 41)
     f = WaveField(g, 0.0, np.full(41, 2e6))
-    params = make_cfg(g.dx, 1e-9)
-    step = {
-        "explicit": lambda: explicit_step(f, params),
-        "cn-lagged": lambda: cn_step(f, CnConfig(params))[0],
-        "cn-implicit": lambda: cn_step(
-            f, CnConfig(params, linearization=LinearizationKind.IMPLICIT_COEFFICIENT)),
-    }[scheme]
+    params = SchemeParams(dx=g.dx, dt=1e-9)
     with pytest.raises(BlowUpError) as err:
-        step()
+        step(f, SchemeConfig(params, scheme))
     peak = err.value.max_value
     assert MAX_AMPLITUDE == 1e6 < peak < 2.01e6
     assert str(err.value) == f"amplitude threshold 1e+06 exceeded (max |u| = {peak:g})"
@@ -175,14 +174,14 @@ def test_steps_build_their_state_through_the_constructor(monkeypatch):
     # every loaded kdvlab module, its home module included, and counts the calls
     real = model.WaveField
     built = []
-    for module in (model, evolution, crank_nicolson, explicit):
+    for module in (model, evolution, crank_nicolson):
         monkeypatch.setattr(module, "WaveField", lambda *args: built.append(args) or real(*args))
     g = Grid1D(-10.0, 10.0, 41)
     f = real(g, 0.0, 1e-3 * np.exp(-g.points() ** 2))
     params = SchemeParams(dx=g.dx, dt=0.01)
-    for step in (lambda: explicit_step(f, params), lambda: cn_step(f, CnConfig(params))[0]):
+    for scheme in ("explicit", "cn-lagged"):
         built.clear()
-        state = step()
+        state, _ = step(f, SchemeConfig(params, scheme))
         assert len(built) == 1  # one construction per step
         assert type(state) is real and state.time == 0.01 and not state.values.flags.writeable
 
@@ -190,7 +189,7 @@ def test_steps_build_their_state_through_the_constructor(monkeypatch):
 def test_run_zero_ic_snapshots():
     g = Grid1D(0.0, 1.0, 11)
     f = WaveField(g, 0.0, np.zeros(11))
-    res = run_explicit(f, make_cfg(g.dx, 0.01), TimeGrid(1.0, 0.01), [0.25, 0.5, 1.0])
+    res = run(f, make_cfg(g.dx, 0.01), TimeGrid(1.0, 0.01), [0.25, 0.5, 1.0])
     assert res.completed
     assert len(res.snapshots) == 3
     for snap in res.snapshots:
@@ -200,7 +199,7 @@ def test_run_zero_ic_snapshots():
 def test_snapshot_first_step_at_or_after():
     g = Grid1D(0.0, 1.0, 11)
     f = WaveField(g, 0.0, np.zeros(11))
-    res = run_explicit(f, make_cfg(g.dx, 0.01), TimeGrid(1.0, 0.01), [0.0, 0.995])
+    res = run(f, make_cfg(g.dx, 0.01), TimeGrid(1.0, 0.01), [0.0, 0.995])
     assert res.snapshots[0].time == 0.0
     # 0.995 falls between steps 99 and 100: the first state at or after is t=1.0
     assert res.snapshots[1].time == pytest.approx(1.0, abs=1e-12)
@@ -212,7 +211,7 @@ def test_appendix_scale_run_blows_up():
     # dt = dx = 0.01 amplifies round-off modes by ~1e4 per step
     g = Grid1D(-20.0, 20.0, 4001)
     ic = appendix_profile(g)
-    res = run_explicit(ic, make_cfg(g.dx, 0.01), TimeGrid(10.0, 0.01), [1.01])
+    res = run(ic, make_cfg(g.dx, 0.01), TimeGrid(10.0, 0.01), [1.01])
     assert res.outcome == "blow-up"
     assert res.blow_up_step is not None
     assert res.blow_up_step * 0.01 < 10.0

@@ -10,7 +10,7 @@ from scipy.integrate import quad
 
 from kdvlab.analysis import AmplificationPoint, ScanRow
 from kdvlab.banded import CertificateReport, PowerIterationReport
-from kdvlab.crank_nicolson import CnConfig
+from kdvlab.crank_nicolson import SchemeConfig
 from kdvlab.errors import OracleError
 from kdvlab.evolution import SnapshotDiagnostics
 from kdvlab.model import (
@@ -189,7 +189,7 @@ FROZEN = [
     (TimeGrid(1.0, 0.1), "nt"),
     (WaveField(_GRID, 0.0, np.zeros(11)), "values"),
     (_PARAMS, "dt"),
-    (CnConfig(_PARAMS), "paper_normalization"),
+    (SchemeConfig(_PARAMS), "paper_normalization"),
     (SnapshotDiagnostics(0.0, 1.0, 2.0, 3.0), "mass"),
     (PowerIterationReport(1.0, 3, True, 0.0), "estimate"),
     (CertificateReport("m", True, "d"), "certified"),
@@ -222,6 +222,10 @@ def test_record_fields_cannot_be_assigned_or_deleted(value, name):
     (lambda: WaveField(_GRID, 0.0, np.full(11, math.inf)), "must be finite"),
     (lambda: SchemeParams(dx=0.0, dt=0.1), "must be positive"),
     (lambda: SchemeParams(dx=0.1, dt=-0.1), "must be positive"),
+    # alpha overflows; dx**3 underflows to 0; dx**3 overflows
+    (lambda: SchemeParams(dx=0.1, dt=1e307), r"are out of range for dx=0.1, dt=1e\+307$"),
+    (lambda: SchemeParams(dx=1e-110, dt=0.1), r"are out of range for dx=1e-110, dt=0.1$"),
+    (lambda: SchemeParams(dx=1e103, dt=0.1), r"are out of range for dx=1e\+103, dt=0.1$"),
 ])
 def test_record_constructors_check_their_inputs(build, match):
     with pytest.raises(ValueError, match=match):
