@@ -10,8 +10,6 @@ studies) needed to judge them.
 from .analysis import (
     AmplificationPoint,
     ScanRow,
-    StencilKind,
-    apply_stencil,
     cn_amplification,
     explicit_amplification,
     observed_order,

@@ -1,45 +1,44 @@
-"""Stencil library, frozen-coefficient amplification factors, and
-numerical consistency probes.
+"""Frozen-coefficient amplification factors and numerical consistency probes.
 
 The amplification factors insert a Fourier mode into each scheme with
 the advective coefficient frozen at a constant ``u0`` (the only
 convention under which the scheme symbol is a well-defined function of
 the mode angle ``theta = k dx``).  Both schemes apply one spatial
-operator (:mod:`kdvlab.crank_nicolson`), with symbol z = i g over a step;
-g depends on the steps only through the mesh ratios
-``alpha = dt/dx^3`` and ``beta = dt/dx``, so the factors and the scan
-take those ratios directly.  The explicit scheme, the theta = 0 member,
-gives lambda = 1 + z, hence |lambda| >= 1 with equality only where g
-vanishes.  Crank-Nicolson, the theta = 1/2 member, gives the conjugate
-ratio lambda = (1 + z/2)/(1 - z/2), hence |lambda| = 1 identically:
-neutrally stable, never strictly damping.  With h = g/2 it is formed as
-(c - 1) + i h c, c = 2/(1 + h^2), so where h^2 overflows c is 0 and
-lambda is -1, of modulus 1.
+operator, whose D1/D3 weight table in :mod:`kdvlab.crank_nicolson` gives
+both the step's band weights and its symbol z = i g over a step
+(:func:`~kdvlab.crank_nicolson._symbol_g`).  g depends on the steps only
+through the mesh ratios ``alpha = dt/dx^3`` and ``beta = dt/dx``, so the
+factors and the scan take those ratios directly.  The explicit scheme,
+the theta = 0 member, gives lambda = 1 + z, hence |lambda| >= 1 with
+equality only where g vanishes.  Crank-Nicolson, the theta = 1/2
+member, gives the conjugate ratio lambda = (1 + z/2)/(1 - z/2), hence
+|lambda| = 1 identically: neutrally stable, never strictly damping.
+With h = g/2 it is formed as (c - 1) + i h c, c = 2/(1 + h^2), so where
+h^2 overflows c is 0 and lambda is -1, of modulus 1.
 
 |lambda| is numpy's ``hypot``, libm's, which is faithfully rounded: its
 last bit can differ between platforms.  The scalar factors and the
 stability scan share it, so each scan row equals the maximum of the
-scalar factors' magnitudes bit for bit by construction.
+scalar factors' magnitudes bit for bit by construction.  Both pass an
+overflowed coefficient of g through as inf or nan; the ``scan`` command
+refuses such inputs first (:func:`~kdvlab.crank_nicolson.check_symbol`).
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
-from .crank_nicolson import SchemeConfig, step
+from .crank_nicolson import SchemeConfig, _symbol_g, step
 from .errors import OracleError
 from .model import Grid1D, SchemeParams, WaveField, pde_residual_pointwise
 from .record import Frozen
 
 __all__ = [
-    "StencilKind",
     "AmplificationPoint",
     "ScanRow",
-    "apply_stencil",
     "cn_amplification",
     "explicit_amplification",
     "scan_ratios",
@@ -49,58 +48,12 @@ __all__ = [
 ]
 
 
-class StencilKind(enum.Enum):
-    """Centered finite-difference building blocks."""
-
-    FIRST_DERIV_CENTERED = "first"
-    SECOND_DERIV_CENTERED = "second"
-    THIRD_DERIV_CENTERED = "third"
-    NONLINEAR_PRODUCT = "nonlinear"
-
-
-_STENCIL_REACH = {
-    StencilKind.FIRST_DERIV_CENTERED: 1,
-    StencilKind.SECOND_DERIV_CENTERED: 1,
-    StencilKind.THIRD_DERIV_CENTERED: 2,
-    StencilKind.NONLINEAR_PRODUCT: 1,
-}
-
-
-def apply_stencil(kind: StencilKind, u: Sequence[float], dx: float, i: int) -> float:
-    """Evaluate one stencil at index ``i`` of the sample sequence ``u``."""
-    u = np.asarray(u, dtype=float)
-    reach = _STENCIL_REACH[kind]
-    if i - reach < 0 or i + reach >= u.shape[0]:
-        raise IndexError(
-            f"index {i} needs neighbours +/-{reach} inside a sequence of "
-            f"length {u.shape[0]}"
-        )
-    if kind is StencilKind.FIRST_DERIV_CENTERED:
-        return float((u[i + 1] - u[i - 1]) / (2.0 * dx))
-    if kind is StencilKind.SECOND_DERIV_CENTERED:
-        return float((u[i + 1] - 2.0 * u[i] + u[i - 1]) / dx**2)
-    if kind is StencilKind.THIRD_DERIV_CENTERED:
-        return float(
-            (u[i + 2] - 2.0 * u[i + 1] + 2.0 * u[i - 1] - u[i - 2]) / (2.0 * dx**3)
-        )
-    return float(u[i] * (u[i + 1] - u[i - 1]) / (2.0 * dx))
-
-
 class AmplificationPoint(Frozen):
     """Scheme symbol lambda at one mode angle theta = k dx."""
 
     def __init__(self, theta: float, lambda_re: float, lambda_im: float, magnitude: float):
         self.__dict__.update(theta=theta, lambda_re=lambda_re, lambda_im=lambda_im,
                              magnitude=magnitude)
-
-
-def _symbol_g(sin1, sin2, alpha: float, beta: float, u0: float):
-    """g of the operator symbol z = i g at the coefficient u0, from sin(theta) and sin(2 theta).
-
-    g = 4 (gamma sin theta - quarter sin 2 theta) at the operator's weights,
-    summed term by term; scalars or arrays alike.
-    """
-    return (3.0 * beta / 2.0) * u0 * sin1 + 2.0 * alpha * sin1 - alpha * sin2
 
 
 def _cn_lambda(g):
@@ -119,9 +72,8 @@ def _magnitude(re, im):
 def cn_amplification(theta: float, alpha: float, beta: float, u0: float) -> AmplificationPoint:
     """Frozen-coefficient Crank-Nicolson symbol: lambda = (1 + i g/2)/(1 - i g/2).
 
-    g(theta) = (3 beta/2) u0 sin theta + 2 alpha sin theta
-               - alpha sin 2theta,
-    with the mesh ratios alpha = dt/dx^3 and beta = dt/dx.
+    g is the operator's, :func:`~kdvlab.crank_nicolson._symbol_g`, at the
+    mesh ratios alpha = dt/dx^3 and beta = dt/dx.
     """
     re, im = _cn_lambda(_symbol_g(math.sin(theta), math.sin(2.0 * theta), alpha, beta, u0))
     return AmplificationPoint(
@@ -133,9 +85,8 @@ def explicit_amplification(theta: float, alpha: float, beta: float,
                            u0: float) -> AmplificationPoint:
     """Frozen-coefficient explicit symbol: lambda = 1 + i g.
 
-    g(theta) = (3 beta/2) u0 sin theta + 2 alpha sin theta
-               - alpha sin 2theta,
-    with the mesh ratios alpha = dt/dx^3 and beta = dt/dx.
+    g is the operator's, :func:`~kdvlab.crank_nicolson._symbol_g`, at the
+    mesh ratios alpha = dt/dx^3 and beta = dt/dx.
     """
     g = _symbol_g(math.sin(theta), math.sin(2.0 * theta), alpha, beta, u0)
     return AmplificationPoint(

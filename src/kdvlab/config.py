@@ -20,7 +20,7 @@ from types import MappingProxyType
 from typing import Callable, Dict, Iterable, Optional, Tuple
 
 from .analysis import scan_ratios
-from .crank_nicolson import SchemeConfig, check_cn_grid, check_scheme
+from .crank_nicolson import SchemeConfig, check_cn_grid, check_scheme, check_symbol
 from .errors import ConfigError
 from .evolution import snapshot_requests
 from .model import (
@@ -149,9 +149,12 @@ class ScanConfig(_Config):
                                      u0_list=(0.0,), n_theta=257, output_dir=Path("out")))
 
     def validate(self) -> None:
-        # the scan checks its scheme and mesh ratios itself
+        # the scan checks its scheme and mesh ratios itself; the command also needs g finite
         try:
-            scan_ratios(self.scheme, [(a, b) for a in self.alpha_list for b in self.beta_list])
+            ratios = scan_ratios(self.scheme, [(a, b) for a in self.alpha_list
+                                               for b in self.beta_list])
+            for alpha, beta in ratios:
+                check_symbol(alpha, beta, self.u0_list)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         if self.n_theta < 2:

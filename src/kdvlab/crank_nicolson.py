@@ -1,20 +1,15 @@
 """The KdV schemes: one spatial operator, stepped explicitly or by Crank-Nicolson.
 
-:func:`_weights` gives the operator at an advective coefficient c: u_xxx
-and c u_x by centered differences, row weights
-gamma_i = alpha/2 + (3 beta/8) c_i and outer weight alpha/4.  Row i of A
-has bands (-alpha/4, +gamma_i, 1, -gamma_i, +alpha/4), and B = 2I - A.
-One step, :func:`step`, serves every scheme of :data:`SCHEMES`, and one
-run, :func:`run`, marches it.
+The operator L u = 1.5 c u_x - u_xxx at an advective coefficient c is stated
+once, as the centered differences :data:`D1` and :data:`D3`; the step's
+weights (:func:`_weights`) and the symbol of dt L (:func:`_symbol_g`) derive
+from them.  Row i of A has bands (-alpha/4, +gamma_i, 1, -gamma_i, +alpha/4),
+gamma_i = alpha/2 + (3 beta/8) c_i, and B = 2I - A.  One step, :func:`step`,
+serves every scheme of :data:`SCHEMES`, and one run, :func:`run`, marches it.
 
-``explicit`` is the theta = 0 member of the theta-scheme: B at twice the
-weights, at c = u^n per row, applied to the whole field.  On interior
-points it reads
-
-    u_i(t+dt) = u_i [1 + (3 dt / 4 dx)(u_{i+1} - u_{i-1})]
-                - (dt / 2 dx^3)(u_{i+2} - 2 u_{i+1} + 2 u_{i-1} - u_{i-2}),
-
-summed in B's order; the two outermost cells at each end stay pinned to
+``explicit`` is the theta = 0 member of the theta-scheme: u + dt L u, that
+is B at twice the weights, at c = u^n per row, applied to the whole field
+and summed in B's order; the two outermost cells at each end stay pinned to
 zero.  It amplifies every Fourier mode (see
 :func:`kdvlab.analysis.explicit_amplification`), so its runs end in the
 blow-up that :func:`~kdvlab.evolution.next_state` detects, at the step
@@ -55,11 +50,14 @@ __all__ = [
     "GAMMA_MODES",
     "check_scheme",
     "check_cn_grid",
+    "check_symbol",
     "SchemeConfig",
     "assemble_lagged",
     "assemble_implicit",
     "step",
     "run",
+    "D1",
+    "D3",
     "DEMO_PARAMS",
     "EIGEN_PROBE_PARAMS",
     "PICARD_TOL",
@@ -77,6 +75,10 @@ DEMO_PARAMS = SchemeParams(dx=0.01, dt=0.01)
 # Spectral-probe preset with alpha = 1000, beta = 1: bands
 # (-250, 500 + 3u/8, 1, -500 - 3u/8, 250).
 EIGEN_PROBE_PARAMS = SchemeParams(dx=math.sqrt(1e-3), dt=math.sqrt(1e-3))
+
+# The order-2 centered differences: D u_i = sum_k w_k (u_{i+k} - u_{i-k}) / dx^order.
+D1 = {1: 0.5}
+D3 = {1: -1.0, 2: 0.5}
 
 # Picard iteration of the implicit coefficient stops once an iterate moves
 # by less than PICARD_TOL in the sup norm, and fails after PICARD_MAX_ITERS.
@@ -127,8 +129,41 @@ def _interior(u: WaveField) -> np.ndarray:
 
 
 def _weights(coef, alpha: float, beta: float):
-    """The operator's (gamma, quarter) = (alpha/2 + (3 beta/8) c, alpha/4) at the coefficient c."""
-    return alpha / 2.0 + (3.0 * beta / 8.0) * coef, alpha / 4.0
+    """The operator's (gamma, quarter) = (alpha/2 + (3 beta/8) c, alpha/4) at the coefficient c.
+
+    Row i of A = I - (dt/2) L has (alpha/2) D3[k] - (3 beta/4) D1[k] c_i at column
+    i + k: gamma is minus its k = 1 entry, quarter its k = 2 entry.
+    """
+    return alpha * (-D3[1] / 2.0) + 3.0 * beta * (D1[1] / 4.0) * coef, alpha * (D3[2] / 2.0)
+
+
+def _symbol_coefficients(alpha: float, beta: float, u0):
+    """g's coefficients of sin theta (advective, then D3[1]) and of sin 2 theta (D3[2]).
+
+    u_{i+k} - u_{i-k} maps e^{ij theta} to 2i sin(k theta) times it, so dt L maps it to i g.
+    """
+    return (3.0 * beta / 2.0) * (2.0 * D1[1]) * u0, alpha * (-2.0 * D3[1]), alpha * (-2.0 * D3[2])
+
+
+def _symbol_g(sin1, sin2, alpha: float, beta: float, u0):
+    """g of the operator symbol z = i g at the coefficient u0, from sin(theta) and sin(2 theta).
+
+    g = (3 beta/2) u0 sin theta + 2 alpha sin theta - alpha sin 2 theta, summed in
+    that order, on scalars or arrays alike; each coefficient is a mesh ratio times an
+    exact constant of the table, so g and :func:`_weights` are the closed forms bitwise.
+    """
+    advective, first, second = _symbol_coefficients(alpha, beta, u0)
+    return advective * sin1 + first * sin1 + second * sin2
+
+
+def check_symbol(alpha: float, beta: float, u0_list: Sequence[float]) -> None:
+    """Raise ValueError unless g's coefficients are finite at (alpha, beta) and every u0:
+    an overflowed one times sin 0 is nan."""
+    for u0 in u0_list:
+        if not all(map(math.isfinite, _symbol_coefficients(alpha, beta, u0))):
+            raise ValueError(f"the symbol's coefficients overflow at alpha = {alpha!r}, "
+                             f"beta = {beta!r}, u0 = {u0!r}: 2 alpha and (3 beta/2) u0 "
+                             "must be finite")
 
 
 def _cn_weights(coef: np.ndarray, cfg: SchemeConfig):

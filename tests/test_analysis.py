@@ -1,4 +1,4 @@
-"""Tests for stencils, amplification factors, and consistency probes."""
+"""Tests for the operator's weight table, amplification factors, and consistency probes."""
 
 import math
 
@@ -9,21 +9,24 @@ from hypothesis import strategies as st
 
 import kdvlab.analysis as analysis
 from kdvlab.analysis import (
-    StencilKind,
-    apply_stencil,
     cn_amplification,
     explicit_amplification,
     observed_order,
     stability_scan,
     truncation_error,
 )
-from kdvlab.crank_nicolson import _rhs, _weights
+from kdvlab.crank_nicolson import D1, D3, _rhs, _symbol_g, _weights
 from kdvlab.model import Grid1D, SchemeParams, traveling_wave_callable
 
 
 # ---------------------------------------------------------------------------
-# stencils
+# the operator's D1/D3 weight table
 # ---------------------------------------------------------------------------
+
+def difference(weights, u, dx, order, i):
+    """sum_k w_k (u_{i+k} - u_{i-k}) / dx^order: one table entry applied at index i."""
+    return sum(w * (u[i + k] - u[i - k]) for k, w in weights.items()) / dx**order
+
 
 def cubic_samples(x0, dx, reach=3):
     offsets = np.arange(-reach, reach + 1)
@@ -36,37 +39,15 @@ def test_third_derivative_exact_on_cubic():
         x0 = float(rng.uniform(-2.0, 2.0))
         dx = float(rng.uniform(0.05, 0.5))
         u, i = cubic_samples(x0, dx)
-        out = apply_stencil(StencilKind.THIRD_DERIV_CENTERED, u, dx, i)
-        # the stencil numerator is exactly 12 dx^3 on cubics; only the
+        out = difference(D3, u, dx, 3, i)
+        # the stencil numerator is exactly 6 dx^3 on cubics; only the
         # cancellation of the x^3-sized terms leaves rounding behind
         assert out == pytest.approx(6.0, rel=1e-9)
 
 
 def test_first_derivative_exact_on_linear():
     u = np.array([0.0, 0.5, 1.0, 1.5, 2.0])
-    assert apply_stencil(StencilKind.FIRST_DERIV_CENTERED, u, 0.5, 2) == 1.0
-
-
-def test_second_derivative_exact_on_quadratic():
-    x = np.linspace(-1.0, 1.0, 9)
-    u = x**2
-    dx = x[1] - x[0]
-    out = apply_stencil(StencilKind.SECOND_DERIV_CENTERED, u, dx, 4)
-    assert out == pytest.approx(2.0, rel=1e-12)
-
-
-def test_nonlinear_product_formula():
-    u = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
-    out = apply_stencil(StencilKind.NONLINEAR_PRODUCT, u, 0.5, 2)
-    assert out == pytest.approx(3.0 * (4.0 - 2.0) / 1.0, rel=1e-15)
-
-
-def test_stencil_index_bounds():
-    u = np.zeros(7)
-    with pytest.raises(IndexError):
-        apply_stencil(StencilKind.THIRD_DERIV_CENTERED, u, 0.1, 1)
-    with pytest.raises(IndexError):
-        apply_stencil(StencilKind.FIRST_DERIV_CENTERED, u, 0.1, 6)
+    assert difference(D1, u, 0.5, 1, 2) == 1.0
 
 
 def test_third_derivative_error_ratio_on_sine():
@@ -76,10 +57,46 @@ def test_third_derivative_error_ratio_on_sine():
     for dx in (0.1, 0.05):
         offsets = np.arange(-2, 3)
         u = np.sin(x0 + offsets * dx)
-        out = apply_stencil(StencilKind.THIRD_DERIV_CENTERED, u, dx, 2)
+        out = difference(D3, u, dx, 3, 2)
         errs.append(abs(out - truth))
     ratio = errs[0] / errs[1]
     assert 3.4 <= ratio <= 4.6  # second-order stencil: factor 4 +/- 15%
+
+
+# The table's weights and symbol against the closed forms they replace, kept
+# literal here: at mesh ratios from the smallest subnormal to the largest double,
+# coefficients of +-1e308 and subnormals, and angles that include 0, pi and both
+# signs of sin 2 theta.  A form that scales before it multiplies fails: -4 (alpha/2)
+# D3[2] for the sin 2 theta coefficient overflows at alpha >= 9e307 where -alpha
+# does not, and (3 beta/4) D1[1] rounds twice where beta is 7 subnormal ulps.
+_EXTREME_RATIOS = [5e-324, 3.5e-323, 2.2250738585072014e-308, 1e-300, 1e-3, 1.0, 1e4, 1e300,
+                   8e307, 9e307, 1e308, 1.7e308, 1.7976931348623157e308]
+_EXTREME_COEFS = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 1.0, -2.0, 1e308, -1e308]
+_EXTREME_THETAS = [0.0, 0.3, 1.0, math.pi / 2.0, 2.0, math.pi]
+
+
+def _same(a, b):
+    """Bitwise equal, with every nan equal to every nan."""
+    return (math.isnan(a) and math.isnan(b)) or repr(a) == repr(b)
+
+
+def test_table_weights_and_symbol_are_the_closed_forms_bit_for_bit():
+    grid = [(a, b, c) for a in _EXTREME_RATIOS for b in _EXTREME_RATIOS for c in _EXTREME_COEFS]
+    coefs = np.array([c for _, _, c in grid])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for alpha, beta, c in grid:
+            gamma, quarter = _weights(c, alpha, beta)
+            assert _same(gamma, alpha / 2.0 + (3.0 * beta / 8.0) * c)
+            assert _same(quarter, alpha / 4.0)
+            for theta in _EXTREME_THETAS:
+                s1, s2 = math.sin(theta), math.sin(2.0 * theta)
+                expected = (3.0 * beta / 2.0) * c * s1 + 2.0 * alpha * s1 - alpha * s2
+                assert _same(_symbol_g(s1, s2, alpha, beta, c), expected), (alpha, beta, c, theta)
+        # on arrays, as the steps and the scan form them
+        for alpha in _EXTREME_RATIOS:
+            gamma, _ = _weights(coefs, alpha, 1e300)
+            expected = alpha / 2.0 + (3.0 * 1e300 / 8.0) * coefs
+            assert all(map(_same, gamma.tolist(), expected.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +139,7 @@ def test_symbol_is_the_operators_on_a_fourier_mode(alpha, beta, u0):
     gamma, quarter = _weights(np.full(j.size, u0), alpha, beta)
     for theta in np.linspace(0.05, math.pi - 0.05, 9):
         mode = np.exp(1j * theta * j)
-        z = 1j * analysis._symbol_g(math.sin(theta), math.sin(2.0 * theta), alpha, beta, u0)
+        z = 1j * _symbol_g(math.sin(theta), math.sin(2.0 * theta), alpha, beta, u0)
         for factor, scale in ((1.0 + z, 2.0), (1.0 + z / 2.0, 1.0)):
             rows = _rhs(mode, scale * gamma, scale * quarter)[2:-2]
             row_sum = 1.0 + 2.0 * scale * (abs(gamma[0]) + quarter)

@@ -14,7 +14,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kdvlab import banded
-from kdvlab.analysis import _symbol_g
 from kdvlab.banded import (
     Pentadiagonal,
     PowerIterationReport,
@@ -28,7 +27,7 @@ from kdvlab.banded import (
 )
 from kdvlab.cli import eigen_report_text
 from kdvlab.config import parse_eigen_config
-from kdvlab.crank_nicolson import assemble_implicit, assemble_lagged
+from kdvlab.crank_nicolson import _symbol_g, assemble_implicit, assemble_lagged
 from kdvlab.errors import SingularMatrixError
 
 # The solve tests run each case through both solve paths: factor_banded

@@ -428,9 +428,16 @@ def test_run_refuses_two_snapshot_requests_on_one_time_level(tmp_path, capsys, t
     (["scan", "--alpha_list=-1"], "alpha and beta must be finite and positive, got -1.0, 1.0"),
     (["scan", "--beta_list=0"], "alpha and beta must be finite and positive, got 1000.0, 0.0"),
     (["scan", "--scheme", "upwind"], "unknown scheme 'upwind'; expected 'cn' or 'explicit'"),
+    # 2 alpha, then (3 beta/2) u0, overflow: times sin 0 each would make the row nan
+    (["scan", "--alpha_list", "1e308"], "the symbol's coefficients overflow at "
+     "alpha = 1e+308, beta = 1.0, u0 = 0.0: 2 alpha and (3 beta/2) u0 must be finite"),
+    (["scan", "--scheme", "explicit", "--alpha_list", "1", "--beta_list", "1e300",
+      "--u0_list", "1e10"], "the symbol's coefficients overflow at alpha = 1.0, "
+     "beta = 1e+300, u0 = 10000000000.0: 2 alpha and (3 beta/2) u0 must be finite"),
     (["run", "--ic", "file"], "ic file needs a path"),
     (["run", "--ic", "appendix 3"], "ic appendix takes no parameter, got 3.0"),
-], ids=["scan-alpha", "scan-beta", "scan-scheme", "run-ic-file", "run-ic-appendix-value"])
+], ids=["scan-alpha", "scan-beta", "scan-scheme", "scan-alpha-overflow",
+        "scan-advective-overflow", "run-ic-file", "run-ic-appendix-value"])
 def test_configs_refuse_with_the_message_of_the_rules_owner(tmp_path, capsys, args, message):
     out = tmp_path / "out"
     assert main(args + ["--output_dir", str(out)]) == 1
@@ -505,6 +512,15 @@ def test_scan_evaluates_and_writes_the_requested_mesh_ratios(tmp_path, scheme, a
     ]
     rows = [line.split(",") for line in lines[1:]]
     assert [(a, b, u0, repr(float(m))) for a, b, u0, m in rows] == expected
+
+
+def test_scan_keeps_the_largest_mesh_ratios_whose_coefficients_are_finite(tmp_path):
+    # 2 alpha is 1.4e308 and 1.6e308: finite, so cn's |lambda| is 1 by construction
+    assert main(["scan", "--alpha_list", "7e307,8e307", "--output_dir", str(tmp_path)]) == 0
+    assert (tmp_path / "scan.csv").read_text() == (
+        "alpha,beta,u0,max_abs_lambda\n"
+        "7.0000000000000003e+307,1,0,1\n"
+        "7.9999999999999999e+307,1,0,1\n")
 
 
 def test_scan_command_explicit_reference_row(tmp_path):
@@ -931,7 +947,40 @@ REFUSED = [
     ["run", "--scheme", "bogus", "--dt", "-1"],
     ["run", "--dt", "-1"],
     ["eigen", "--nx", "8"],
+    # -2v overflows, and its product with sech^2 = 0 is nan: refused without a warning
+    ["run", "--ic", "traveling 1e308", "--nx", "61", "--t_end", "0.02",
+     "--snapshot_times", "0.02"],
 ]
+
+
+# The spectral-probes benchmark's scan grids at its seeds 0 and 5, and the default scan.
+# |lambda| is np.hypot, libm's, faithfully rounded: these goldens hold the last bits of
+# the libm they were written with (glibc 2.36 on x86-64), and another libm may differ there.
+_PROBE_GRID = ["--alpha_list", "0.01,1,100,1000,10000", "--beta_list", "0.1,1,10"]
+GOLDEN_SCANS = {
+    f"scan_{scheme}_seed{seed}": ["--scheme", scheme, *_PROBE_GRID, f"--u0_list={u0}"]
+    for scheme in ("cn", "explicit")
+    for seed, u0 in ((0, "-1.0,-0.5,0.0,0.5,1.0,2.0"),
+                     (5, "-1.884,0.9596,0.9671,1.1808,1.6893,1.7698"))
+}
+GOLDEN_SCANS["scan_default"] = []
+GOLDEN_EIGEN = {"eigen_default": [],
+                "eigen_row-varying": ["--gamma_mode", "row-varying", "--nx", "401",
+                                      "--ic", "traveling 1"]}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SCANS))
+def test_scan_csv_matches_its_golden(name, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["scan", *GOLDEN_SCANS[name], "--output_dir", "out"]) == 0
+    assert ((tmp_path / "out" / "scan.csv").read_bytes()
+            == (GOLDEN / f"{name}.csv").read_bytes())
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_EIGEN))
+def test_eigen_stdout_matches_its_golden(name, capsys):
+    assert main(["eigen", *GOLDEN_EIGEN[name]]) == 0
+    assert capsys.readouterr() == ((GOLDEN / f"{name}.txt").read_text(encoding="utf-8"), "")
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
